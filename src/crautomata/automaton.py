@@ -103,6 +103,14 @@ class StateSet:
         return f"StateSet({{{', '.join(str(q) for q in self)}}})"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, (tuple, list))
+
+
 @dataclass(frozen=True)
 class Dfa:
     """A complete deterministic finite automaton.
@@ -117,12 +125,20 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"state count must be an integer, got {self.n!r}")
+        if not _is_list(self.alphabet):
+            raise ValueError("alphabet must be a list of letter names")
+        if not _is_list(self.delta) or not all(_is_list(row) for row in self.delta):
+            raise ValueError("transition table must be a list of rows")
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
         if self.n < 1:
             raise ValueError(f"state count must be at least 1, got {self.n}")
         if len(self.alphabet) < 1:
             raise ValueError("alphabet must contain at least one letter")
+        if not all(isinstance(name, str) for name in self.alphabet):
+            raise ValueError("alphabet names must be strings")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet names must be distinct")
         if any(not name for name in self.alphabet):
@@ -137,6 +153,11 @@ class Dfa:
                     f"transition row {q} has {len(row)} entries, expected {self.m}"
                 )
             for a, target in enumerate(row):
+                if not _is_int(target):
+                    raise ValueError(
+                        f"transition ({q}, {self.alphabet[a]}) -> {target!r} "
+                        "is not an integer"
+                    )
                 if not 0 <= target < self.n:
                     raise ValueError(
                         f"transition ({q}, {self.alphabet[a]}) -> {target} "

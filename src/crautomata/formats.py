@@ -126,9 +126,7 @@ def doc_to_dfa(doc: dict[str, Any]) -> Dfa:
         raise ValueError(
             "automaton document needs 'states', 'alphabet' and 'delta' fields"
         ) from None
-    if not isinstance(n, int):
-        raise ValueError("'states' must be an integer")
-    return Dfa(n, tuple(alphabet), tuple(tuple(row) for row in delta))
+    return Dfa(n, alphabet, delta)
 
 
 def gamma_to_doc(result: GammaResult, dfa: Dfa) -> dict[str, Any]:

@@ -9,21 +9,38 @@ appends shortest image-shrinking words until a single state remains.  On
 completely reachable input the total length stays within a cubic bound that
 is roughly 7n^3/48, well under the classic (n-1)^2 conjecture territory for
 small n but proven unconditionally here.
+
+Both searches return the shortest word, shortlex-least among those, without
+walking images of the whole state set.  A word shrinks P exactly when it
+merges some pair of P, so compressing words are read off one table of pair
+distances per automaton: a breadth-first search backwards on the pair graph
+from the merged pairs, O(m n^2), as in Eppstein's greedy synchronization.
+A word u avoids q exactly when the preimage {q} . u^-1 is empty, so avoiding
+words come from a breadth-first search backwards over preimage sets of {q}.
+Either way the word is then rebuilt from the front, each letter the first
+that leaves a completion of the remaining length.  The pair table is
+polynomial.  The backward preimage search has no proven polynomial bound on
+general automata: nothing bounds the number of distinct preimage sets it
+meets by a polynomial in n.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .automaton import (
+# Nothing here calls excl_dupl, but bench/tracing.py counts its calls through
+# this module's name, so the name stays bound.
+from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
     Word,
     apply_letter_mask,
     apply_word_mask,
     excl_dupl,
+    iter_bits,
+    preimage_table,
     transformation_of,
 )
 from .oracle import DEFAULT_MAX_STATES, reset_threshold_exact
@@ -66,59 +83,139 @@ def compress_length_bound(n: int, k: int) -> int:
     return math.comb(n - k + 2, 2)
 
 
+@lru_cache(maxsize=8)
+def _preimage_masks(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
+    """``masks[a][q]`` is the bit mask of q a^-1."""
+    return preimage_table(dfa).masks
+
+
+@lru_cache(maxsize=8)
+def _pair_distances(dfa: Dfa) -> tuple[int, ...]:
+    """Length of the shortest word merging x and y, stored at x * n + y.
+
+    0 on the diagonal and -1 where no word merges the pair.  Breadth-first
+    search backwards on the pair graph from the merged pairs: {x', y'} is
+    one letter further from merging than {x, y} when x' a = x and y' a = y.
+    Each pair is expanded once, so the cost is O(m n^2).
+    """
+    n = dfa.n
+    pre = [[tuple(iter_bits(mask)) for mask in col] for col in _preimage_masks(dfa)]
+    dist = [-1] * (n * n)
+    for z in range(n):
+        dist[z * n + z] = 0
+    frontier = [(z, z) for z in range(n)]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x, y in frontier:
+            for col in pre:
+                for x2 in col[x]:
+                    for y2 in col[y]:
+                        if dist[x2 * n + y2] < 0:
+                            dist[x2 * n + y2] = dist[y2 * n + x2] = d
+                            nxt.append((x2, y2))
+        frontier = nxt
+    return tuple(dist)
+
+
+def _avoiding_levels(dfa: Dfa, q: int) -> list[list[int]] | None:
+    """Levels of the backward search from {q}, or None if it never empties.
+
+    Level j holds the preimage sets {q} . v^-1 over words v of length j
+    that no earlier level holds.  The search stops at the first empty
+    preimage; the levels before it are returned, so their count is the
+    length of the shortest avoiding word.
+    """
+    pre = _preimage_masks(dfa)
+    levels = [[1 << q]]
+    seen = {1 << q}
+    while levels[-1]:
+        nxt = []
+        for s in levels[-1]:
+            for col in pre:
+                t = 0
+                rest = s
+                while rest:
+                    low = rest & -rest
+                    t |= col[low.bit_length() - 1]
+                    rest ^= low
+                if not t:
+                    return levels
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        levels.append(nxt)
+    return None
+
+
 def avoiding_word(dfa: Dfa, q: int) -> Word | None:
     """Shortest (then shortlex-least) word u with q not in Q . u, or None.
 
-    Breadth-first search over images of the full state set; completely
+    u avoids q exactly when the preimage {q} . u^-1 is empty, so the length
+    comes from a breadth-first search backwards over preimage sets of {q}.
+    The word is then rebuilt from the front: each letter is the first whose
+    image of Q misses some preimage set of the remaining length.  Completely
     reachable automata with at least two states always admit one of length
     at most n.
     """
     if not 0 <= q < dfa.n:
         raise ValueError(f"state index {q} out of range 0..{dfa.n - 1}")
-    full = (1 << dfa.n) - 1
-    target_bit = 1 << q
-    if dfa.n == 1:
+    levels = _avoiding_levels(dfa, q)
+    if levels is None:
         return None
-    seen = {full}
-    queue: deque[tuple[int, Word]] = deque([(full, ())])
-    while queue:
-        mask, word = queue.popleft()
+    word = []
+    image = (1 << dfa.n) - 1
+    for targets in reversed(levels):
         for a in range(dfa.m):
-            nxt = apply_letter_mask(dfa.delta, mask, a)
-            if nxt in seen:
-                continue
-            if not nxt & target_bit:
-                return word + (a,)
-            seen.add(nxt)
-            queue.append((nxt, word + (a,)))
-    return None
+            nxt = apply_letter_mask(dfa.delta, image, a)
+            if any(not nxt & t for t in targets):
+                break
+        word.append(a)
+        image = nxt
+    return tuple(word)
 
 
 def compress_word(dfa: Dfa, p: StateSet) -> Word | None:
     """Shortest (then shortlex-least) word shrinking the image of p, or None.
 
-    Singletons cannot shrink, so they yield None straight away.
+    A word shrinks p exactly when it merges some pair of p, so the length is
+    the least pair distance over p.  The word is rebuilt from the front,
+    following the pairs that can still merge in the remaining length: each
+    letter is the first that takes one of them one step closer.  Singletons
+    cannot shrink, so they yield None straight away.
     """
     if not p:
         raise ValueError("cannot compress an empty state set")
     if p.mask >> dfa.n:
         raise ValueError("state set contains states outside the automaton")
-    size = len(p)
-    if size == 1:
+    n = dfa.n
+    dist = _pair_distances(dfa)
+    states = list(p)
+    pairs = [
+        (x, y)
+        for i, x in enumerate(states)
+        for y in states[i + 1 :]
+        if dist[x * n + y] > 0
+    ]
+    if not pairs:
         return None
-    seen = {p.mask}
-    queue: deque[tuple[int, Word]] = deque([(p.mask, ())])
-    while queue:
-        mask, word = queue.popleft()
+    length = min(dist[x * n + y] for x, y in pairs)
+    live = [(x, y) for x, y in pairs if dist[x * n + y] == length]
+    delta = dfa.delta
+    word = []
+    for rest in range(length - 1, -1, -1):
         for a in range(dfa.m):
-            nxt = apply_letter_mask(dfa.delta, mask, a)
-            if nxt in seen:
-                continue
-            if nxt.bit_count() < size:
-                return word + (a,)
-            seen.add(nxt)
-            queue.append((nxt, word + (a,)))
-    return None
+            nxt = {
+                (delta[x][a], delta[y][a])
+                for x, y in live
+                if dist[delta[x][a] * n + delta[y][a]] == rest
+            }
+            if nxt:
+                break
+        word.append(a)
+        live = nxt
+    return tuple(word)
 
 
 def halving_word(dfa: Dfa) -> Word:
@@ -144,21 +241,26 @@ def halving_word(dfa: Dfa) -> Word:
             "every letter is a permutation, so no word can shrink the image"
         )
     w: Word = (best_letter,)
-    while 2 * apply_word_mask(dfa, full, w).bit_count() > dfa.n:
-        image = apply_word_mask(dfa, full, w)
-        dupl_mask = excl_dupl(dfa, w).dupl.mask
-        unique_mask = image & ~dupl_mask
-        p = (unique_mask & -unique_mask).bit_length() - 1
-        trans = transformation_of(dfa, w)
-        q = trans.index(p)
-        u = avoiding_word(dfa, q)
+    trans = tuple(row[best_letter] for row in dfa.delta)
+    avoiding: dict[int, Word | None] = {}
+    while True:
+        counts = [0] * dfa.n
+        for x in trans:
+            counts[x] += 1
+        if 2 * (dfa.n - counts.count(0)) <= dfa.n:
+            return w
+        # An image larger than n/2 always has a state with a single preimage.
+        q = trans.index(counts.index(1))
+        if q not in avoiding:
+            avoiding[q] = avoiding_word(dfa, q)
+        u = avoiding[q]
         if u is None:
             raise ValueError(
                 f"state {q} occurs in every image; "
                 "the automaton is not completely reachable"
             )
         w = u + w
-    return w
+        trans = tuple(trans[x] for x in transformation_of(dfa, u))
 
 
 @dataclass(frozen=True)

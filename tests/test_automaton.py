@@ -60,6 +60,18 @@ def test_dfa_validation():
         Dfa(2, ("a",), ((0,),))  # missing row
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((0,), (2,)))  # out-of-range target
+    for n, alphabet, delta in (
+        (2.0, ("a",), ((1,), (0,))),
+        (True, ("a",), ((0,),)),
+        (2, "a", ((1,), (0,))),
+        (2, (1,), ((1,), (0,))),
+        (2, ("a",), (1, 0)),
+        (2, ("a",), ("1", "0")),
+        (2, ("a",), ((1.0,), (0,))),
+        (2, ("a",), ((True,), (0,))),
+    ):
+        with pytest.raises(ValueError):
+            Dfa(n, alphabet, delta)
     d = Dfa(2, ("a",), ((1,), (0,)))
     assert d.m == 1
     assert d.states() == StateSet([0, 1])

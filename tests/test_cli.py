@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crautomata
 from crautomata import (
     StateSet,
     apply_word,
@@ -223,3 +228,51 @@ def test_malformed_input_file(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert run_cli(["analyze", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"states": 2, "alphabet": ["a"], "delta": [1, 0]},
+        {"states": 2, "alphabet": ["a"], "delta": [[1.0], [0.0]]},
+        {"states": 2, "alphabet": "a", "delta": [[1], [0]]},
+        {"states": 2, "alphabet": "ab", "delta": [[1, 0], [0, 1]]},
+        {"states": 2, "alphabet": [1], "delta": [[1], [0]]},
+        {"states": True, "alphabet": ["a"], "delta": [[0]]},
+        {"states": 2, "alphabet": ["a"], "delta": [[True], [0]]},
+        {"states": 2, "alphabet": ["a"], "delta": "10"},
+    ],
+    ids=[
+        "int-rows",
+        "float-entries",
+        "string-alphabet",
+        "string-alphabet-ab",
+        "int-letter-name",
+        "bool-states",
+        "bool-entry",
+        "string-delta",
+    ],
+)
+def test_mistyped_json_document_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(crautomata.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crautomata", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: crautomata")

@@ -88,6 +88,10 @@ def test_doc_to_dfa_rejects_malformed():
         lambda o: o.__setitem__("alphabet", ["a", "a"]),
         lambda o: o.__setitem__("delta", [[0, 1]]),
         lambda o: o.__setitem__("delta", "nope"),
+        lambda o: o.__setitem__("states", True),
+        lambda o: o.__setitem__("alphabet", "ab"),
+        lambda o: o.__setitem__("delta", [1, 2, 0]),
+        lambda o: o["delta"][0].__setitem__(0, 1.0),
     ):
         doc = {k: (list(v) if isinstance(v, list) else v) for k, v in good.items()}
         doc["delta"] = [list(r) for r in good["delta"]]
