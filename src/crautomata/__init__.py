@@ -10,9 +10,7 @@ powerset oracle cross-checks everything at small sizes.
 
 from .automaton import (
     Dfa,
-    EMPTY_WORD,
     ExclDuplPair,
-    PreimageTable,
     StateSet,
     Transformation,
     Word,
@@ -24,16 +22,15 @@ from .automaton import (
     shortlex_key,
     transformation_of,
 )
-from .canonical import CanonicalWordSet, enumerate_canonical_words, xd_pairs
+from .canonical import CanonicalWordSet
 from .cli import main, run_cli
 from .digraph import (
     ClusterPartition,
     SimpleDigraph,
-    condensation,
     is_strongly_connected,
     strongly_connected_components,
 )
-from .dot import emit_dot, forest_dot, level_dot
+from .dot import forest_dot, level_dot
 from .formats import (
     dfa_to_doc,
     doc_to_dfa,
@@ -50,8 +47,6 @@ from .gamma import (
     GammaLevel,
     GammaResult,
     build_gamma,
-    build_gamma1,
-    build_next_level,
     decide_complete_reachability,
     unreachable_witness,
 )
@@ -84,9 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dfa",
-    "EMPTY_WORD",
     "ExclDuplPair",
-    "PreimageTable",
     "StateSet",
     "Transformation",
     "Word",
@@ -98,16 +91,12 @@ __all__ = [
     "shortlex_key",
     "transformation_of",
     "CanonicalWordSet",
-    "enumerate_canonical_words",
-    "xd_pairs",
     "main",
     "run_cli",
     "ClusterPartition",
     "SimpleDigraph",
-    "condensation",
     "is_strongly_connected",
     "strongly_connected_components",
-    "emit_dot",
     "forest_dot",
     "level_dot",
     "dfa_to_doc",
@@ -123,8 +112,6 @@ __all__ = [
     "GammaLevel",
     "GammaResult",
     "build_gamma",
-    "build_gamma1",
-    "build_next_level",
     "decide_complete_reachability",
     "unreachable_witness",
     "cerny",

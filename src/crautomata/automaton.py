@@ -14,8 +14,6 @@ from typing import Iterable, Iterator, Sequence
 Word = tuple[int, ...]
 Transformation = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -205,16 +203,6 @@ class ExclDuplPair:
         return (self.excl.mask, self.dupl.mask)
 
 
-@dataclass(frozen=True)
-class PreimageTable:
-    """Per-letter preimage sets: ``masks[a][q]`` is the bit mask of qa^-1."""
-
-    masks: tuple[tuple[int, ...], ...]
-
-    def preimages(self, a: int, q: int) -> StateSet:
-        return StateSet.from_mask(self.masks[a][q])
-
-
 def apply_letter_mask(delta: Sequence[Sequence[int]], mask: int, a: int) -> int:
     """Image of a state-set bit mask under a single letter."""
     out = 0
@@ -276,15 +264,18 @@ def excl_dupl(dfa: Dfa, w: Sequence[int]) -> ExclDuplPair:
     return transformation_signature(dfa.n, transformation_of(dfa, w))
 
 
-def preimage_table(dfa: Dfa) -> PreimageTable:
-    """Precomputed single-letter preimage masks; each letter's sets partition Q."""
+def preimage_table(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
+    """Single-letter preimage masks: ``table[a][q]`` is the bit mask of qa^-1.
+
+    Each letter's sets partition Q.
+    """
     masks = []
     for a in range(dfa.m):
         col = [0] * dfa.n
         for q in range(dfa.n):
             col[dfa.delta[q][a]] |= 1 << q
         masks.append(tuple(col))
-    return PreimageTable(tuple(masks))
+    return tuple(masks)
 
 
 def extend_signature_masks(
@@ -311,13 +302,13 @@ def extend_signature_masks(
 
 
 def extend_excl_dupl(
-    pair_u: ExclDuplPair, dfa: Dfa, a: int, table: PreimageTable
+    pair_u: ExclDuplPair, dfa: Dfa, a: int, table: Sequence[Sequence[int]]
 ) -> ExclDuplPair:
     """Signature of ua from the signature of u alone (never consults u)."""
     if not 0 <= a < dfa.m:
         raise ValueError(f"letter index {a} out of range 0..{dfa.m - 1}")
     excl, dupl = extend_signature_masks(
-        table.masks[a], pair_u.excl.mask, pair_u.dupl.mask, dfa.n
+        table[a], pair_u.excl.mask, pair_u.dupl.mask, dfa.n
     )
     return ExclDuplPair(StateSet.from_mask(excl), StateSet.from_mask(dupl))
 

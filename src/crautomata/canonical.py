@@ -6,8 +6,12 @@ with its whole subtree when it has (the signature of an extension depends
 only on the signature of what it extends), and parked when its defect exceeds
 the current cap (defect never decreases along extensions, so the subtree can
 wait).  Parked words are revisited when the cap is raised: the walk resumes
-from its frontier instead of restarting, and the seen-signature index is
+from its frontier instead of restarting, and the seen-signature set is
 global across defect levels.
+
+Kept words are stored in one list per defect.  Every signature of defect k
+is found by the first ``grow`` whose cap reaches k, and that walk accepts
+words in shortlex order, so each list is filled once, already in order.
 """
 
 from __future__ import annotations
@@ -31,15 +35,20 @@ class CanonicalWordSet:
 
     def __init__(self, dfa: Dfa):
         self._dfa = dfa
-        self._pre = preimage_table(dfa).masks
+        self._pre = preimage_table(dfa)
         self._cap = 0
-        self._seen: dict[tuple[int, int], Word] = {(0, 0): ()}
-        self._entries: list[_Entry] = [((), 0, 0)]
-        self._index: dict[tuple[int, int], int] = {(0, 0): 0}
+        self._seen: set[tuple[int, int]] = {(0, 0)}
+        # _by_defect[k] holds the kept words of defect k in shortlex order.
+        self._by_defect: list[list[_Entry]] = [[((), 0, 0)]]
         # Candidates whose defect exceeded the cap when generated, keyed by
-        # word length; each list stays in shortlex order.
-        self._parked: dict[int, list[_Entry]] = {}
-        self._park_children((), 0, 0)
+        # word length; each list stays in shortlex order.  The walk starts
+        # from the children of the empty word.
+        self._parked: dict[int, list[_Entry]] = {
+            1: [
+                ((a,), *extend_signature_masks(self._pre[a], 0, 0, dfa.n))
+                for a in range(dfa.m)
+            ]
+        }
 
     @property
     def dfa(self) -> Dfa:
@@ -51,40 +60,25 @@ class CanonicalWordSet:
 
     @property
     def entries(self) -> list[tuple[Word, ExclDuplPair]]:
-        return [(w, self._pair(em, dm)) for w, em, dm in self._entries]
-
-    def position_of(self, pair: ExclDuplPair) -> int | None:
-        return self._index.get(pair.key())
-
-    def word_for(self, pair: ExclDuplPair) -> Word | None:
-        pos = self.position_of(pair)
-        return None if pos is None else self._entries[pos][0]
+        """Every kept word with its signature, in shortlex order."""
+        merged = sorted(
+            (e for entries in self._by_defect for e in entries),
+            key=lambda e: shortlex_key(e[0]),
+        )
+        return [
+            (w, ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm)))
+            for w, em, dm in merged
+        ]
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _pair(em: int, dm: int) -> ExclDuplPair:
-        return ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm))
-
-    def _park_children(self, w: Word, em: int, dm: int) -> None:
-        # Children of a fresh canonical word enter the walk; since the parent
-        # was over no cap, only seen/defect filtering remains for them.
-        n = self._dfa.n
-        for a in range(self._dfa.m):
-            cem, cdm = extend_signature_masks(self._pre[a], em, dm, n)
-            child = w + (a,)
-            self._enqueue(child, cem, cdm)
-
-    def _enqueue(self, w: Word, em: int, dm: int) -> None:
-        self._parked.setdefault(len(w), []).append((w, em, dm))
+        return sum(len(entries) for entries in self._by_defect)
 
     def grow(self, defect_cap: int) -> None:
         """Raise the defect cap, resuming the shortlex walk where it stopped."""
         if defect_cap <= self._cap:
             return
+        self._by_defect.extend([] for _ in range(defect_cap - self._cap))
         self._cap = defect_cap
-        accepted: list[_Entry] = []
         if not self._parked:
             return
         length = min(self._parked)
@@ -101,8 +95,8 @@ class CanonicalWordSet:
                 if em.bit_count() > self._cap:
                     still_parked.append((w, em, dm))
                     continue
-                self._seen[sig] = w
-                accepted.append((w, em, dm))
+                self._seen.add(sig)
+                self._by_defect[em.bit_count()].append((w, em, dm))
                 n = self._dfa.n
                 for a in range(self._dfa.m):
                     cem, cdm = extend_signature_masks(self._pre[a], em, dm, n)
@@ -116,16 +110,12 @@ class CanonicalWordSet:
                 length = min(future)
             else:
                 break
-        if accepted:
-            self._entries = sorted(
-                self._entries + accepted, key=lambda e: shortlex_key(e[0])
-            )
-            self._index = {
-                (em, dm): i for i, (w, em, dm) in enumerate(self._entries)
-            }
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
-        """Raw (word, excl mask, dupl mask) triples of defect exactly k."""
+        """Raw (word, excl mask, dupl mask) triples of defect exactly k.
+
+        This is the stored list itself, in shortlex order; do not mutate it.
+        """
         if k > self._cap:
             raise ValueError(
                 f"canonical word set was built with defect cap {self._cap}, "
@@ -133,21 +123,4 @@ class CanonicalWordSet:
             )
         if k < 0:
             raise ValueError("defect must be non-negative")
-        return [e for e in self._entries if e[1].bit_count() == k]
-
-
-def enumerate_canonical_words(dfa: Dfa, k_max: int) -> CanonicalWordSet:
-    """All canonical words of defect at most k_max, in shortlex order."""
-    if not 1 <= k_max <= dfa.n - 1:
-        raise ValueError(f"k_max must satisfy 1 <= k_max <= {dfa.n - 1}, got {k_max}")
-    cws = CanonicalWordSet(dfa)
-    cws.grow(k_max)
-    return cws
-
-
-def xd_pairs(cws: CanonicalWordSet, k: int) -> list[tuple[ExclDuplPair, Word]]:
-    """Signatures of defect exactly k with their canonical words, shortlex order."""
-    return [
-        (CanonicalWordSet._pair(em, dm), w)
-        for w, em, dm in cws.signatures_of_defect(k)
-    ]
+        return self._by_defect[k]

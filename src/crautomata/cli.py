@@ -155,6 +155,8 @@ def _cmd_generate(args: argparse.Namespace, out: _Out) -> int:
     elif family == "random":
         if args.seed is None:
             raise ValueError("family 'random' requires --seed")
+        if args.seed < 0:
+            raise ValueError("--seed must be non-negative")
         dfa = random_dfa(need("n"), need("m"), args.seed)
     else:
         dfa = fixed_example(family)
@@ -412,10 +414,14 @@ _HANDLERS = {
 }
 
 
+# Built once: parsing leaves the parser unchanged.  Handlers still look up
+# build_gamma, reset_word and the rest through this module's globals.
+_PARSER = _build_parser()
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     out = _Out(args.quiet)

@@ -1,9 +1,14 @@
-"""Simple directed graphs, strongly connected components, and condensation."""
+"""Simple directed graphs and their strongly connected components.
+
+No condensation routine lives here: the hierarchy maps each edge through
+``ClusterPartition.cluster_id`` where it needs the condensation, and the
+SCC numbering is reverse topological, so a sink cluster is one that no
+edge leaves.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -103,54 +108,3 @@ def is_strongly_connected(g: SimpleDigraph) -> bool:
     if g.vertex_count == 0:
         raise ValueError("graph has no vertices")
     return len(strongly_connected_components(g).clusters) == 1
-
-
-def _check_partition(g: SimpleDigraph, p: ClusterPartition) -> None:
-    if len(p.cluster_id) != g.vertex_count:
-        raise ValueError("partition does not cover the vertex set")
-    seen: set[int] = set()
-    for cid, cluster in enumerate(p.clusters):
-        for v in cluster:
-            if not 0 <= v < g.vertex_count or v in seen:
-                raise ValueError("clusters do not partition the vertex set")
-            if p.cluster_id[v] != cid:
-                raise ValueError("cluster_id disagrees with the cluster list")
-            seen.add(v)
-    if len(seen) != g.vertex_count:
-        raise ValueError("clusters do not partition the vertex set")
-
-
-def _is_acyclic(vertex_count: int, edges: Iterable[tuple[int, int]]) -> bool:
-    indeg = [0] * vertex_count
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for s, t in edges:
-        adj[s].append(t)
-        indeg[t] += 1
-    ready = [v for v in range(vertex_count) if indeg[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for u in adj[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return removed == vertex_count
-
-
-def condensation(g: SimpleDigraph, p: ClusterPartition) -> SimpleDigraph:
-    """The simple graph induced on clusters by the inter-cluster edges of g.
-
-    Raises if the partition is structurally inconsistent with g or if the
-    induced graph is cyclic, which means p was not the SCC partition.
-    """
-    _check_partition(g, p)
-    cid = p.cluster_id
-    edges = frozenset(
-        (cid[s], cid[t]) for s, t in g.edges if cid[s] != cid[t]
-    )
-    if not _is_acyclic(len(p.clusters), edges):
-        raise ValueError(
-            "partition is not the strongly-connected-component partition of g"
-        )
-    return SimpleDigraph(len(p.clusters), edges)

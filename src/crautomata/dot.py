@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .automaton import Dfa
 from .formats import format_states, format_word
-from .gamma import ClusterForest, GammaLevel, GammaResult
+from .gamma import ClusterForest, GammaLevel
 
 
 def _quote(label: str) -> str:
@@ -48,10 +48,3 @@ def forest_dot(forest: ClusterForest) -> str:
             lines.append(f"  f{nid} -> f{parent};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def emit_dot(result: GammaResult, dfa: Dfa) -> str:
-    """All level digraphs followed by the forest, concatenated."""
-    parts = [level_dot(level, result.forest, dfa) for level in result.levels]
-    parts.append(forest_dot(result.forest))
-    return "\n".join(parts)

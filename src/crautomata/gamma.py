@@ -1,25 +1,24 @@
 """The level-graph hierarchy and the complete-reachability decision.
 
-Level 1 is the graph on states whose edges are the (excluded, duplicate)
-pairs of defect-1 words.  While the current level is not strongly connected,
-its clusters form the next level of the cluster forest; the next graph is
-the condensation of the previous one plus the edges freshly forced by words
-of the next defect.  The process stops with SUCCESS on a strongly connected
-level and with FAILURE when every new cluster has a leafage of at most k
-states after step k; it always stops by step n-1.
+One builder makes every level.  The level-k graph has the forest's level-k
+nodes as vertices; its edges are the condensation of level k-1 plus the
+edges forced by the (excluded, duplicate) signatures of defect-k words.
+Level 1 is the case with no previous level: its nodes are the single states
+and nothing is inherited.  While a level is not strongly connected, its
+clusters become the next level of the cluster forest.  The process stops
+with SUCCESS on a strongly connected level and with FAILURE when every new
+cluster has a leafage of at most k states after step k; it always stops by
+step n-1.  The sink clusters behind the unreachable witness are read off
+the SCC numbering directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Dfa, StateSet, Word
+from .automaton import Dfa, StateSet, Word, iter_bits
 from .canonical import CanonicalWordSet, _Entry
-from .digraph import (
-    SimpleDigraph,
-    condensation,
-    strongly_connected_components,
-)
+from .digraph import SimpleDigraph, strongly_connected_components
 
 SUCCESS = "SUCCESS"
 FAILURE = "FAILURE"
@@ -126,51 +125,30 @@ class GammaResult:
         return self.outcome == SUCCESS
 
 
-def build_gamma1(dfa: Dfa, cws: CanonicalWordSet) -> GammaLevel:
-    """The level-1 graph on states, one edge per defect-1 signature."""
-    forcing: dict[tuple[int, int], Word] = {}
-    for w, em, dm in cws.signatures_of_defect(1):
-        # Defect-1 signatures are singleton pairs ({x}, {d}).
-        edge = (em.bit_length() - 1, dm.bit_length() - 1)
-        if edge not in forcing:
-            forcing[edge] = w
-    graph = SimpleDigraph(dfa.n, frozenset(forcing))
-    return GammaLevel(1, tuple(range(dfa.n)), graph, forcing, frozenset())
-
-
-def build_next_level(
-    prev: GammaLevel, forest: ClusterForest, xd_k: list[_Entry]
+def _build_level(
+    forest: ClusterForest,
+    k: int,
+    entries: list[_Entry],
+    inherited: frozenset[tuple[int, int]],
 ) -> GammaLevel:
-    """Condensation of the previous level plus the defect-k forced edges.
+    """The level-k graph on the forest's level-k nodes.
 
-    Expects the SCC partition of ``prev`` to be the forest's top level
-    already.  For each defect-k signature (X, D): X fits inside the leafage
-    of at most one cluster (leafages partition the states), and when it does,
-    an edge runs from that cluster to every other cluster whose leafage
-    meets D.  One signature may force several edges.
+    ``inherited`` is the condensation of the previous level (empty at level
+    1, whose nodes are the single states).  For each defect-k signature
+    (X, D): X fits inside the leafage of at most one cluster (leafages
+    partition the states), and when it does, an edge runs from that cluster
+    to every other cluster whose leafage meets D.  One signature may force
+    several edges.
     """
-    k = prev.level + 1
     vertices = forest.level_nodes(k)
     leaf = [forest.leafage_mask(nid) for nid in vertices]
-
     owner = {}
     for pos, mask in enumerate(leaf):
-        for q in range(mask.bit_length()):
-            if (mask >> q) & 1:
-                owner[q] = pos
-
-    prev_pos = {nid: pos for pos, nid in enumerate(prev.vertices)}
-    cid = [0] * len(prev.vertices)
-    for pos, nid in enumerate(vertices):
-        for child in forest.children_of(nid):
-            cid[prev_pos[child]] = pos
-
-    inherited = frozenset(
-        (cid[s], cid[t]) for s, t in prev.graph.edges if cid[s] != cid[t]
-    )
+        for q in iter_bits(mask):
+            owner[q] = pos
 
     forcing: dict[tuple[int, int], Word] = {}
-    for w, em, dm in xd_k:
+    for w, em, dm in entries:
         src = owner[em.bit_length() - 1]
         if em & ~leaf[src]:
             continue
@@ -194,17 +172,14 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     """
     n = dfa.n
     forest = ClusterForest(n)
-    if n == 1:
-        level = GammaLevel(1, (0,), SimpleDigraph(1, frozenset()), {}, frozenset())
-        forest.add_level([[0]])
-        return GammaResult(SUCCESS, 1, (level,), forest)
-
     cws = CanonicalWordSet(dfa)
-    cws.grow(1)
-    level = build_gamma1(dfa, cws)
-    levels = [level]
+    levels: list[GammaLevel] = []
+    inherited: frozenset[tuple[int, int]] = frozenset()
     k = 1
     while True:
+        cws.grow(k)
+        level = _build_level(forest, k, cws.signatures_of_defect(k), inherited)
+        levels.append(level)
         part = strongly_connected_components(level.graph)
         groups = [
             [level.vertices[v] for v in cluster] for cluster in part.clusters
@@ -215,12 +190,14 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         new_nodes = forest.level_nodes(k + 1)
         if all(forest.leafage_mask(nid).bit_count() <= k for nid in new_nodes):
             return GammaResult(FAILURE, k, tuple(levels), forest)
+        # New node i is cluster i, so cluster ids are the next level's vertices.
+        cid = part.cluster_id
+        inherited = frozenset(
+            (cid[s], cid[t]) for s, t in level.graph.edges if cid[s] != cid[t]
+        )
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")
-        cws.grow(k)
-        level = build_next_level(level, forest, cws.signatures_of_defect(k))
-        levels.append(level)
 
 
 def decide_complete_reachability(dfa: Dfa) -> tuple[bool, GammaResult]:
@@ -233,15 +210,15 @@ def unreachable_witness(result: GammaResult, dfa: Dfa) -> StateSet:
     """A subset guaranteed unreachable after FAILURE.
 
     Take a cluster of the terminal level that is minimal in the reachability
-    order (a sink of the condensation; ties broken by the smallest state in
-    the leafage) and return the complement of its leafage.
+    order (a cluster that no edge leaves; ties broken by the smallest state
+    in the leafage) and return the complement of its leafage.
     """
     if result.outcome != FAILURE:
         raise ValueError("an unreachable witness only exists for FAILURE results")
     last = result.levels[-1]
     part = strongly_connected_components(last.graph)
-    cond = condensation(last.graph, part)
-    has_out = {s for s, _ in cond.edges}
+    cid = part.cluster_id
+    has_out = {cid[s] for s, t in last.graph.edges if cid[s] != cid[t]}
     best_mask = None
     for i, cluster in enumerate(part.clusters):
         if i in has_out:
@@ -251,6 +228,6 @@ def unreachable_witness(result: GammaResult, dfa: Dfa) -> StateSet:
             mask |= result.forest.leafage_mask(last.vertices[v])
         if best_mask is None or (mask & -mask) < (best_mask & -best_mask):
             best_mask = mask
-    assert best_mask is not None  # an acyclic condensation always has a sink
+    assert best_mask is not None  # cluster 0 is a sink: Tarjan numbers sinks first
     full = (1 << dfa.n) - 1
     return StateSet.from_mask(full & ~best_mask)

@@ -86,7 +86,7 @@ def compress_length_bound(n: int, k: int) -> int:
 @lru_cache(maxsize=8)
 def _preimage_masks(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     """``masks[a][q]`` is the bit mask of q a^-1."""
-    return preimage_table(dfa).masks
+    return preimage_table(dfa)
 
 
 @lru_cache(maxsize=8)

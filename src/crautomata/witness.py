@@ -5,19 +5,25 @@ level with an edge penetrating the current target (source cluster outside,
 target cluster inside); such an edge is always freshly forced there, and its
 word w lets the target be rewritten as the image of a strictly larger set:
 the full w-preimage of one duplicate state plus one chosen preimage of every
-other target state.  Rounds repeat until the larger set is Q; the final word
-is the concatenation of the step words, outermost round first.
+other target state.  Each round applies w once, as a transformation, and
+reads the duplicate states and that larger set off its preimage masks.
+Rounds repeat until the larger set is Q; the final word is the
+concatenation of the step words, outermost round first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import (
+# Nothing here calls excl_dupl, but bench/tracing.py counts its calls through
+# this module's name, so the name stays bound.
+from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
+    Transformation,
     Word,
     excl_dupl,
+    iter_bits,
     transformation_of,
 )
 from .gamma import GammaResult, SUCCESS
@@ -34,6 +40,28 @@ class ReachStep:
     target: StateSet
 
 
+def _expand(trans: Transformation, p: int, allowed: int) -> int:
+    """The mask of R with R . w = p, where ``trans`` is the transformation of w.
+
+    The duplicate state is the smallest duplicate of w in ``p & allowed``.
+    R is its full preimage together with the smallest-index preimage of
+    every other state of p.  Raises ValueError when w excludes part of p or
+    no duplicate state is allowed.
+    """
+    pre = [0] * len(trans)
+    for q, image in enumerate(trans):
+        pre[image] |= 1 << q
+    if any(not pre[r] for r in iter_bits(p)):
+        raise ValueError("the word excludes part of the target set")
+    dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
+    if dup is None:
+        raise ValueError("dup_state must be a duplicate state inside the target set")
+    mask = pre[dup]
+    for r in iter_bits(p & ~(1 << dup)):
+        mask |= pre[r] & -pre[r]
+    return mask
+
+
 def expand_step(dfa: Dfa, p: StateSet, w: Word, dup_state: int) -> StateSet:
     """The preimage set R with R . w = p and |R| > |p|.
 
@@ -43,23 +71,10 @@ def expand_step(dfa: Dfa, p: StateSet, w: Word, dup_state: int) -> StateSet:
     in p) are enforced because their failure signals a bug in level
     selection.
     """
-    pair = excl_dupl(dfa, w)
-    if not pair.excl.isdisjoint(p):
-        raise ValueError("the word excludes part of the target set")
-    if dup_state not in pair.dupl or dup_state not in p:
-        raise ValueError("dup_state must be a duplicate state inside the target set")
-    trans = transformation_of(dfa, w)
-    first_pre: list[int | None] = [None] * dfa.n
-    mask = 0
-    for q, image in enumerate(trans):
-        if image == dup_state:
-            mask |= 1 << q
-        elif first_pre[image] is None:
-            first_pre[image] = q
-    for r in p:
-        if r != dup_state:
-            mask |= 1 << first_pre[r]
-    return StateSet.from_mask(mask)
+    if p.mask >> dfa.n:
+        raise ValueError("target set contains states outside the automaton")
+    allowed = 1 << dup_state if dup_state in p else 0
+    return StateSet.from_mask(_expand(transformation_of(dfa, w), p.mask, allowed))
 
 
 def reach_word(
@@ -101,14 +116,18 @@ def reach_word(
             raise RuntimeError(
                 "penetrating edge at the least level must be freshly forced"
             )
-        dupl_mask = excl_dupl(dfa, w).dupl.mask
         target_leaf = result.forest.leafage_mask(level.vertices[edge[1]])
-        dup_candidates = dupl_mask & target_leaf
-        dup_state = (dup_candidates & -dup_candidates).bit_length() - 1
-        target = StateSet.from_mask(current)
-        source = expand_step(dfa, target, w, dup_state)
-        rounds.append(ReachStep(level.level, edge, w, source, target))
-        current = source.mask
+        source = _expand(transformation_of(dfa, w), current, target_leaf)
+        rounds.append(
+            ReachStep(
+                level.level,
+                edge,
+                w,
+                StateSet.from_mask(source),
+                StateSet.from_mask(current),
+            )
+        )
+        current = source
 
     steps = list(reversed(rounds))
     word: Word = ()

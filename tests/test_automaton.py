@@ -140,18 +140,18 @@ def test_excl_dupl_pair_invariants():
 def test_preimage_table():
     ff = fixed_example("flipflop")
     table = preimage_table(ff)
-    assert table.preimages(0, 0) == StateSet([0, 1])
-    assert table.preimages(0, 1) == StateSet()
+    assert table[0][0] == StateSet([0, 1]).mask
+    assert table[0][1] == 0
     e5 = fixed_example("e5")
     t5 = preimage_table(e5)
     # letter a[1]: both bottom states merge onto state 1, state 0 is excluded
-    assert t5.preimages(0, 1) == StateSet([0, 1])
-    assert t5.preimages(0, 0) == StateSet()
+    assert t5[0][1] == StateSet([0, 1]).mask
+    assert t5[0][0] == 0
     for a in range(e5.m):
         union = 0
         total = 0
         for q in range(e5.n):
-            mask = t5.masks[a][q]
+            mask = t5[a][q]
             assert union & mask == 0  # pairwise disjoint
             union |= mask
             total += mask.bit_count()

@@ -62,6 +62,10 @@ def test_generate_random_seeded(capsys):
     assert capsys.readouterr().out == first
     assert run_cli(["generate", "random", "--n", "5", "--m", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert run_cli(["--seed", "-1", "generate", "random", "--n", "5", "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be non-negative\n"
+    assert captured.out == ""
 
 
 def test_generate_missing_parameter(capsys):

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from crautomata.digraph import (
-    ClusterPartition,
     SimpleDigraph,
-    condensation,
     is_strongly_connected,
     strongly_connected_components,
 )
@@ -21,6 +19,12 @@ def _reachable(n, adjacency, start):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def cluster_edges(g, part):
+    """The edges between distinct clusters, mapped through cluster_id."""
+    cid = part.cluster_id
+    return {(cid[s], cid[t]) for s, t in g.edges if cid[s] != cid[t]}
 
 
 def scc_by_mutual_reachability(g):
@@ -74,8 +78,7 @@ def test_scc_reverse_topological_numbering():
     part = strongly_connected_components(g)
     assert part.clusters == ((2,), (1,), (0,))
     assert part.cluster_id == (2, 1, 0)
-    cond = condensation(g, part)
-    for s, t in cond.edges:
+    for s, t in cluster_edges(g, part):
         assert s > t  # edges always point to earlier (sink-side) clusters
 
 
@@ -108,17 +111,15 @@ def test_condensation_gamma1_e5_shape():
     g = SimpleDigraph(5, edges)
     part = strongly_connected_components(g)
     assert set(part.clusters) == {(0, 1), (2,), (3, 4)}
-    cond = condensation(g, part)
     src = part.clusters.index((2,))
     dst = part.clusters.index((0, 1))
-    assert cond.edges == frozenset({(src, dst)})
+    assert cluster_edges(g, part) == {(src, dst)}
 
 
 def test_condensation_strongly_connected_input():
     g = SimpleDigraph(2, frozenset({(0, 1), (1, 0)}))
     part = strongly_connected_components(g)
-    cond = condensation(g, part)
-    assert cond.vertex_count == 1 and cond.edges == frozenset()
+    assert len(part.clusters) == 1 and cluster_edges(g, part) == set()
 
 
 def test_condensation_acyclic_on_random_graphs():
@@ -130,36 +131,26 @@ def test_condensation_acyclic_on_random_graphs():
         )
         g = SimpleDigraph(n, edges)
         part = strongly_connected_components(g)
-        cond = condensation(g, part)
+        edges = cluster_edges(g, part)
         # Kahn peeling must consume every cluster vertex
-        indeg = [0] * cond.vertex_count
-        for _, t in cond.edges:
+        count = len(part.clusters)
+        indeg = [0] * count
+        for _, t in edges:
             indeg[t] += 1
-        queue = [v for v in range(cond.vertex_count) if indeg[v] == 0]
+        queue = [v for v in range(count) if indeg[v] == 0]
         seen = 0
         while queue:
             v = queue.pop()
             seen += 1
-            for s, t in cond.edges:
+            for s, t in edges:
                 if s == v:
                     indeg[t] -= 1
                     if indeg[t] == 0:
                         queue.append(t)
-        assert seen == cond.vertex_count
-        assert is_strongly_connected(g) == (cond.vertex_count == 1)
-
-
-def test_condensation_rejects_wrong_partition():
-    g = SimpleDigraph(2, frozenset({(0, 1), (1, 0)}))
-    fake = ClusterPartition(cluster_id=(0, 1), clusters=((0,), (1,)))
-    with pytest.raises(ValueError):
-        condensation(g, fake)
-
-
-def test_partition_structural_checks():
-    g = SimpleDigraph(2, frozenset())
-    with pytest.raises(ValueError):
-        condensation(g, ClusterPartition(cluster_id=(0, 0), clusters=((0,),)))
+        assert seen == count
+        # reverse topological numbering: cluster 0 is always a sink
+        assert all(s > t for s, t in edges)
+        assert is_strongly_connected(g) == (count == 1)
 
 
 def test_graph_validation():

@@ -1,4 +1,4 @@
-from crautomata import build_gamma, emit_dot, fixed_example, forest_dot, level_dot
+from crautomata import build_gamma, fixed_example, forest_dot, level_dot
 
 
 def test_level_dot_gamma2():
@@ -36,17 +36,6 @@ def test_forest_dot():
     # each non-root node points at its parent
     arrows = [line for line in text.splitlines() if "->" in line]
     assert len(arrows) == 10
-
-
-def test_emit_dot_concatenates_and_is_deterministic():
-    e5 = fixed_example("e5")
-    result = build_gamma(e5)
-    text = emit_dot(result, e5)
-    assert text == emit_dot(result, e5)
-    assert text.count("digraph gamma_") == 3
-    assert text.count("digraph forest") == 1
-    assert text.index("digraph gamma_1") < text.index("digraph gamma_3")
-    assert text.index("digraph gamma_3") < text.index("digraph forest")
 
 
 def test_quoting_special_characters():

@@ -18,7 +18,6 @@ from crautomata import (
     unreachable_witness,
 )
 from crautomata.canonical import CanonicalWordSet
-from crautomata.gamma import build_gamma1
 
 
 def leafages_at(result, level):
@@ -104,16 +103,14 @@ def test_e_family_terminates_at_k():
 
 
 def test_e_family_gamma1_condensation_star():
-    # level-1 clusters: the bottom block plus singletons, edges into the block
-    from crautomata import condensation
-
+    # level-1 clusters: the bottom block plus singletons, edges into the block;
+    # level 2 inherits exactly that condensation
     d = e_family(6, 4)  # l = 3
     result = build_gamma(d)
     part = strongly_connected_components(result.levels[0].graph)
     assert set(part.clusters) == {(0, 1, 2), (3,), (4,), (5,)}
-    cond = condensation(result.levels[0].graph, part)
     block = part.clusters.index((0, 1, 2))
-    assert cond.edges == {
+    assert result.levels[1].inherited == {
         (part.clusters.index((j,)), block) for j in (3, 4, 5)
     }
 
@@ -154,11 +151,22 @@ def test_gamma1_edgeless_failure():
 
 
 def test_single_state_automaton():
-    d = Dfa(1, ("a",), ((0,),))
-    ok, result = decide_complete_reachability(d)
-    assert ok and result.outcome == SUCCESS
-    assert result.terminal_step == 1
-    assert result.forest.node_count == 2
+    for alphabet, row in ((("a",), (0,)), (("a", "b"), (0, 0))):
+        d = Dfa(1, alphabet, (row,))
+        ok, result = decide_complete_reachability(d)
+        assert ok and result.outcome == SUCCESS
+        assert result.terminal_step == 1
+        (level,) = result.levels
+        assert level.level == 1 and level.vertices == (0,)
+        assert level.graph.vertex_count == 1
+        assert level.graph.edges == frozenset()
+        assert level.forcing == {} and level.inherited == frozenset()
+        forest = result.forest
+        assert forest.node_count == 2 and forest.level_count == 2
+        assert forest.level_nodes(1) == [0] and forest.level_nodes(2) == [1]
+        assert forest.parent_of(0) == 1 and forest.parent_of(1) is None
+        assert forest.children_of(1) == (0,)
+        assert forest.leafage_mask(0) == forest.leafage_mask(1) == 1
 
 
 def test_permutation_automaton_fails_immediately():
@@ -186,12 +194,12 @@ def test_build_gamma1_matches_defect1_signatures():
     e12 = fixed_example("e12")
     cws = CanonicalWordSet(e12)
     cws.grow(1)
-    level = build_gamma1(e12, cws)
-    sigs = {
-        (em.bit_length() - 1, dm.bit_length() - 1)
-        for _, em, dm in cws.signatures_of_defect(1)
-    }
-    assert level.graph.edges == frozenset(sigs)
+    level = build_gamma(e12).levels[0]
+    first = {}  # each edge's shortlex-least defect-1 word, in that order
+    for w, em, dm in cws.signatures_of_defect(1):
+        first.setdefault((em.bit_length() - 1, dm.bit_length() - 1), w)
+    assert level.graph.edges == frozenset(first)
+    assert list(level.forcing.items()) == list(first.items())
     assert level.inherited == frozenset()
 
 

@@ -44,6 +44,12 @@ def test_expand_step_rejects_non_duplicate():
         expand_step(e5, StateSet([0]), (1,), 2)
 
 
+def test_expand_step_rejects_states_outside():
+    e5 = fixed_example("e5")
+    with pytest.raises(ValueError, match="outside"):
+        expand_step(e5, StateSet([0, 7]), (1,), 0)
+
+
 def test_expand_step_size_exhaustive():
     # |R| = |P| + (multiplicity of the duplicate) - 1, and R maps back onto P
     for seed in (5, 23):
