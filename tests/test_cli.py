@@ -280,3 +280,269 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: crautomata")
+
+
+# Exact stdout of every command on e5: the text and JSON renderings are
+# pinned byte for byte, so any change in how a report is built shows here.
+
+
+@pytest.fixture
+def e5_file(tmp_path):
+    return write_dfa(tmp_path, fixed_example("e5"), "e5.txt")
+
+
+def _run(capsys, argv):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+E5_TEXT = {
+    ("analyze",): (
+        "outcome: SUCCESS\n"
+        "terminal step: 3\n"
+        "completely reachable: yes\n"
+    ),
+    ("gamma",): (
+        "outcome: SUCCESS\n"
+        "terminal step: 3\n"
+        "level 1: 5 vertices, 5 edges\n"
+        "  {0} -> {1}  forced by a[1]\n"
+        "  {1} -> {0}  forced by a[2]\n"
+        "  {2} -> {0}  forced by a[3]\n"
+        "  {3} -> {4}  forced by a[4]\n"
+        "  {4} -> {3}  forced by a[5]\n"
+        "level 2: 3 vertices, 4 edges\n"
+        "  {0, 1} -> {2}  forced by a[1,2]\n"
+        "  {2} -> {0, 1}  inherited\n"
+        "  {3, 4} -> {0, 1}  forced by a[4,5]\n"
+        "  {3, 4} -> {2}  forced by a[4,5]\n"
+        "level 3: 2 vertices, 2 edges\n"
+        "  {0, 1, 2} -> {3, 4}  forced by a[1,3]\n"
+        "  {3, 4} -> {0, 1, 2}  inherited\n"
+    ),
+    ("reach", "--subset", "0,2"): (
+        "word: a[5] a[4,5] a[2]\n"
+        "length: 3\n"
+        "step 1 (level 1): {0, 1, 2, 3, 4} . a[5] = {0, 1, 2, 3}\n"
+        "step 2 (level 2): {0, 1, 2, 3} . a[4,5] = {0, 1, 2}\n"
+        "step 3 (level 1): {0, 1, 2} . a[2] = {0, 2}\n"
+    ),
+    ("sync",): (
+        "reset word: a[1,3] a[4]\n"
+        "length: 2\n"
+        "halving length: 1\n"
+        "compression lengths: 1\n"
+        "cerny bound: 16 (within)\n"
+        "cubic bound: 21 (within)\n"
+    ),
+    ("bounds",): (
+        "states: 5\n"
+        "cerny bound: 16\n"
+        "cubic reset bound: 21\n"
+        "avoiding word bound: 5\n"
+        "halving word bound: 11\n"
+        "compress bound (k=2): 10\n"
+        "compress bound (k=3): 6\n"
+        "compress bound (k=4): 3\n"
+        "compress bound (k=5): 1\n"
+    ),
+    ("oracle",): "completely reachable: yes\nreachable subsets: 31 of 31\n",
+    ("oracle", "--threshold"): "reset threshold: 2\n",
+    ("oracle", "--monoid"): "monoid size: 31\nsingular size: 30\n",
+}
+
+
+@pytest.mark.parametrize("command", list(E5_TEXT), ids=" ".join)
+def test_text_output_exact(capsys, e5_file, command):
+    code, out = _run(capsys, [command[0], e5_file, *command[1:]])
+    assert code == 0
+    assert out == E5_TEXT[command]
+
+
+def test_text_output_exact_not_reachable(tmp_path, capsys):
+    bad = write_dfa(tmp_path, e_family(5, 4, drop_last_b=True))
+    code, out = _run(capsys, ["analyze", bad])
+    assert code == 1
+    assert out == (
+        "outcome: FAILURE\n"
+        "terminal step: 4\n"
+        "completely reachable: no\n"
+        "unreachable witness: {4}\n"
+    )
+
+
+# Written in the key order of gamma_to_doc, which `gamma --json FILE` keeps.
+E5_GAMMA_DOC = {
+    "outcome": "SUCCESS",
+    "terminal_step": 3,
+    "levels": [
+        {
+            "level": 1,
+            "vertices": [[0], [1], [2], [3], [4]],
+            "edges": [
+                {"src": 0, "dst": 1, "forced_by": "a[1]"},
+                {"src": 1, "dst": 0, "forced_by": "a[2]"},
+                {"src": 2, "dst": 0, "forced_by": "a[3]"},
+                {"src": 3, "dst": 4, "forced_by": "a[4]"},
+                {"src": 4, "dst": 3, "forced_by": "a[5]"},
+            ],
+        },
+        {
+            "level": 2,
+            "vertices": [[0, 1], [2], [3, 4]],
+            "edges": [
+                {"src": 0, "dst": 1, "forced_by": "a[1,2]"},
+                {"src": 1, "dst": 0, "inherited": True},
+                {"src": 2, "dst": 0, "forced_by": "a[4,5]"},
+                {"src": 2, "dst": 1, "forced_by": "a[4,5]"},
+            ],
+        },
+        {
+            "level": 3,
+            "vertices": [[0, 1, 2], [3, 4]],
+            "edges": [
+                {"src": 0, "dst": 1, "forced_by": "a[1,3]"},
+                {"src": 1, "dst": 0, "inherited": True},
+            ],
+        },
+    ],
+    "forest": {
+        "nodes": [
+            {"id": 0, "level": 1, "leafage": [0]},
+            {"id": 1, "level": 1, "leafage": [1]},
+            {"id": 2, "level": 1, "leafage": [2]},
+            {"id": 3, "level": 1, "leafage": [3]},
+            {"id": 4, "level": 1, "leafage": [4]},
+            {"id": 5, "level": 2, "leafage": [0, 1]},
+            {"id": 6, "level": 2, "leafage": [2]},
+            {"id": 7, "level": 2, "leafage": [3, 4]},
+            {"id": 8, "level": 3, "leafage": [0, 1, 2]},
+            {"id": 9, "level": 3, "leafage": [3, 4]},
+            {"id": 10, "level": 4, "leafage": [0, 1, 2, 3, 4]},
+        ],
+        "parents": [5, 5, 6, 7, 7, 8, 8, 9, 10, 10, None],
+    },
+}
+
+E5_JSON = {
+    ("analyze",): {
+        "completely_reachable": True,
+        "outcome": "SUCCESS",
+        "terminal_step": 3,
+    },
+    ("gamma",): E5_GAMMA_DOC,
+    ("reach", "--subset", "0,2"): {
+        "subset": [0, 2],
+        "word": [4, 6, 1],
+        "word_str": "a[5] a[4,5] a[2]",
+        "length": 3,
+        "steps": [
+            {"level": 1, "word": "a[5]", "source": [0, 1, 2, 3, 4], "target": [0, 1, 2, 3]},
+            {"level": 2, "word": "a[4,5]", "source": [0, 1, 2, 3], "target": [0, 1, 2]},
+            {"level": 1, "word": "a[2]", "source": [0, 1, 2], "target": [0, 2]},
+        ],
+    },
+    ("sync",): {
+        "word": [7, 3],
+        "word_str": "a[1,3] a[4]",
+        "length": 2,
+        "halving_length": 1,
+        "compression_lengths": [1],
+        "cerny_bound": 16,
+        "within_cerny": True,
+        "cubic_bound": 21,
+        "within_cubic": True,
+    },
+    ("bounds",): {
+        "states": 5,
+        "cerny": 16,
+        "cubic_reset": 21,
+        "avoiding": 5,
+        "halving": 11,
+        "compress": {"2": 10, "3": 6, "4": 3, "5": 1},
+    },
+    ("oracle",): {"completely_reachable": True, "reachable_count": 31, "total": 31},
+    ("oracle", "--threshold"): {"reset_threshold": 2},
+    ("oracle", "--monoid"): {"monoid_size": 31, "singular_size": 30},
+}
+
+
+@pytest.mark.parametrize("command", list(E5_JSON), ids=" ".join)
+def test_json_output_exact(capsys, e5_file, command):
+    code, out = _run(capsys, ["--format", "json", command[0], e5_file, *command[1:]])
+    assert code == 0
+    assert out == json.dumps(E5_JSON[command], indent=2, sort_keys=True) + "\n"
+
+
+def test_json_output_exact_not_reachable(tmp_path, capsys):
+    bad = write_dfa(tmp_path, e_family(5, 4, drop_last_b=True))
+    code, out = _run(capsys, ["--format", "json", "analyze", bad])
+    assert code == 1
+    expected = {
+        "completely_reachable": False,
+        "outcome": "FAILURE",
+        "terminal_step": 4,
+        "unreachable_witness": [4],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gamma_written_files_exact(tmp_path, capsys, e5_file, fmt):
+    dots = tmp_path / "dots"
+    doc_path = tmp_path / "gamma.json"
+    argv = ["--format", fmt, "gamma", e5_file, "--dot", str(dots), "--json", str(doc_path)]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == f"wrote 4 DOT files to {dots}\nwrote {doc_path}\n"
+    assert doc_path.read_text(encoding="utf-8") == json.dumps(E5_GAMMA_DOC, indent=2) + "\n"
+    assert (dots / "gamma_2.dot").read_text(encoding="utf-8") == (
+        "digraph gamma_2 {\n"
+        '  v0 [label="{0, 1}"];\n'
+        '  v1 [label="{2}"];\n'
+        '  v2 [label="{3, 4}"];\n'
+        '  v0 -> v1 [style=dashed, label="a[1,2]"];\n'
+        "  v1 -> v0;\n"
+        '  v2 -> v0 [style=dashed, label="a[4,5]"];\n'
+        '  v2 -> v1 [style=dashed, label="a[4,5]"];\n'
+        "}\n"
+    )
+    assert (dots / "forest.dot").read_text(encoding="utf-8") == (
+        "digraph forest {\n"
+        "  rankdir=BT;\n"
+        + "".join(
+            f'  f{nid} [label="{label}"];\n'
+            for nid, label in enumerate(
+                ["{0}", "{1}", "{2}", "{3}", "{4}", "{0, 1}", "{2}", "{3, 4}",
+                 "{0, 1, 2}", "{3, 4}", "{0, 1, 2, 3, 4}"]
+            )
+        )
+        + "  { rank=same; f0; f1; f2; f3; f4; }\n"
+        "  { rank=same; f5; f6; f7; }\n"
+        "  { rank=same; f8; f9; }\n"
+        "  { rank=same; f10; }\n"
+        + "".join(
+            f"  f{nid} -> f{parent};\n"
+            for nid, parent in enumerate([5, 5, 6, 7, 7, 8, 8, 9, 10, 10])
+        )
+        + "}\n"
+    )
+
+
+def test_generate_output_exact(tmp_path, capsys):
+    code, out = _run(capsys, ["generate", "cerny", "--n", "3"])
+    assert code == 0
+    assert out == "states 3\nalphabet a b\n1 1\n1 2\n2 0\n"
+    c3_doc = '{\n  "states": 3,\n  "alphabet": [\n    "a",\n    "b"\n  ],\n  "delta": ['
+    code, out = _run(capsys, ["--format", "json", "generate", "cerny", "--n", "3"])
+    assert code == 0
+    assert out.startswith(c3_doc)
+    assert json.loads(out) == {"states": 3, "alphabet": ["a", "b"], "delta": [[1, 1], [1, 2], [2, 0]]}
+    target = tmp_path / "c3.json"
+    argv = ["--format", "json", "generate", "cerny", "--n", "3", "-o", str(target)]
+    code, written = _run(capsys, argv)
+    assert code == 0
+    assert written == f"wrote {target}\n"
+    assert target.read_text(encoding="utf-8") == out
