@@ -12,30 +12,23 @@ from .automaton import (
     Dfa,
     ExclDuplPair,
     StateSet,
-    Transformation,
-    Word,
     apply_word,
     defect,
     excl_dupl,
     extend_excl_dupl,
     preimage_table,
-    shortlex_key,
     transformation_of,
 )
 from .canonical import CanonicalWordSet
-from .cli import main, run_cli
 from .digraph import (
     ClusterPartition,
     SimpleDigraph,
     is_strongly_connected,
     strongly_connected_components,
 )
-from .dot import forest_dot, level_dot
 from .formats import (
     dfa_to_doc,
     doc_to_dfa,
-    format_states,
-    format_word,
     gamma_to_doc,
     parse_dfa,
     serialize_dfa,
@@ -73,7 +66,11 @@ from .synchro import (
     halving_word,
     reset_word,
 )
-from .witness import ReachStep, expand_step, reach_word
+from .witness import ReachStep, reach_word
+
+# Bound as ``crautomata.cli`` for callers that drive the command line through
+# the package; ``run_cli`` and ``main`` are not re-exported.
+from . import cli
 
 __version__ = "0.1.0"
 
@@ -81,28 +78,19 @@ __all__ = [
     "Dfa",
     "ExclDuplPair",
     "StateSet",
-    "Transformation",
-    "Word",
     "apply_word",
     "defect",
     "excl_dupl",
     "extend_excl_dupl",
     "preimage_table",
-    "shortlex_key",
     "transformation_of",
     "CanonicalWordSet",
-    "main",
-    "run_cli",
     "ClusterPartition",
     "SimpleDigraph",
     "is_strongly_connected",
     "strongly_connected_components",
-    "forest_dot",
-    "level_dot",
     "dfa_to_doc",
     "doc_to_dfa",
-    "format_states",
-    "format_word",
     "gamma_to_doc",
     "parse_dfa",
     "serialize_dfa",
@@ -137,7 +125,6 @@ __all__ = [
     "halving_word",
     "reset_word",
     "ReachStep",
-    "expand_step",
     "reach_word",
     "__version__",
 ]

@@ -1,9 +1,18 @@
 """Subcommand CLI: generate, analyze, export, and cross-check automata.
 
 Exit codes encode the reachability decision where one is made: 0 means
-completely reachable, 1 means not, 2 means an error (bad input, bad usage).
-Input files may be in the text format or the JSON document format; the
-``--format`` flag controls output only.
+completely reachable, 1 means not, 2 means an error (bad input, bad usage,
+or an internal fault).  Input files may be in the text format or the JSON
+document format.
+
+Each command handler builds its result once and returns it as a report: the
+exit code, a JSON-ready dict (or None) and the text lines rendered from that
+dict.  Only ``run_cli`` writes to stdout.  It prints the dict with sorted keys
+under ``--format json``, the lines otherwise, and nothing under ``--quiet``.
+A run that ends in an error prints nothing to stdout.  ``generate`` is the
+one command that reads ``--format`` itself, as the format of the automaton
+it writes; it and ``gamma --dot/--json`` report only text lines, so their
+output and ``wrote ...`` lines come out in either format.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from .automaton import Dfa, StateSet
 from .dot import forest_dot, level_dot
@@ -43,20 +52,8 @@ from .synchro import (
 )
 from .witness import reach_word
 
-
-class _Out:
-    """stdout wrapper honoring --quiet; errors always go to stderr."""
-
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def line(self, text: str = "") -> None:
-        if not self.quiet:
-            print(text)
-
-    def write(self, text: str) -> None:
-        if not self.quiet:
-            sys.stdout.write(text)
+# (exit code, JSON report or None, text lines): what one command produced.
+Report = tuple[int, dict[str, Any] | None, list[str]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,11 +132,7 @@ def _load_dfa(path: str) -> Dfa:
     return parse_dfa(raw)
 
 
-def _emit_json(out: _Out, doc: object) -> None:
-    out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_generate(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_generate(args: argparse.Namespace) -> Report:
     family = args.family
 
     def need(name: str) -> int:
@@ -161,87 +154,75 @@ def _cmd_generate(args: argparse.Namespace, out: _Out) -> int:
     else:
         dfa = fixed_example(family)
 
+    # Here --format chooses the automaton file's format, so there is no report.
     if args.format == "json":
         text = json.dumps(dfa_to_doc(dfa), indent=2) + "\n"
     else:
         text = serialize_dfa(dfa)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        out.line(f"wrote {args.output}")
-    else:
-        out.write(text)
-    return 0
+        return 0, None, [f"wrote {args.output}"]
+    return 0, None, text.splitlines()
 
 
-def _cmd_analyze(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     result = build_gamma(dfa)
-    witness = None if result.success else unreachable_witness(result, dfa)
-    if args.format == "json":
-        doc: dict[str, object] = {
-            "completely_reachable": result.success,
-            "outcome": result.outcome,
-            "terminal_step": result.terminal_step,
-        }
-        if witness is not None:
-            doc["unreachable_witness"] = sorted(witness)
-        _emit_json(out, doc)
-    else:
-        out.line(f"outcome: {result.outcome}")
-        out.line(f"terminal step: {result.terminal_step}")
-        out.line(f"completely reachable: {'yes' if result.success else 'no'}")
-        if witness is not None:
-            out.line(f"unreachable witness: {format_states(witness)}")
-    return 0 if result.success else 1
+    doc: dict[str, Any] = {
+        "completely_reachable": result.success,
+        "outcome": result.outcome,
+        "terminal_step": result.terminal_step,
+    }
+    lines = [
+        f"outcome: {result.outcome}",
+        f"terminal step: {result.terminal_step}",
+        f"completely reachable: {'yes' if result.success else 'no'}",
+    ]
+    if not result.success:
+        witness = unreachable_witness(result, dfa)
+        doc["unreachable_witness"] = sorted(witness)
+        lines.append(f"unreachable witness: {format_states(witness)}")
+    return (0 if result.success else 1), doc, lines
 
 
-def _cmd_gamma(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_gamma(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
-    result = build_gamma(dfa)
-    wrote = False
-    if args.dot:
-        directory = Path(args.dot)
-        directory.mkdir(parents=True, exist_ok=True)
-        for level in result.levels:
-            path = directory / f"gamma_{level.level}.dot"
-            path.write_text(level_dot(level, result.forest, dfa), encoding="utf-8")
-        (directory / "forest.dot").write_text(
-            forest_dot(result.forest), encoding="utf-8"
+    doc = gamma_to_doc(build_gamma(dfa), dfa)
+    if args.dot or args.json:
+        wrote = []
+        if args.dot:
+            directory = Path(args.dot)
+            directory.mkdir(parents=True, exist_ok=True)
+            for level in doc["levels"]:
+                path = directory / f"gamma_{level['level']}.dot"
+                path.write_text(level_dot(level), encoding="utf-8")
+            (directory / "forest.dot").write_text(
+                forest_dot(doc["forest"]), encoding="utf-8"
+            )
+            wrote.append(f"wrote {len(doc['levels']) + 1} DOT files to {args.dot}")
+        if args.json:
+            Path(args.json).write_text(
+                json.dumps(doc, indent=2) + "\n", encoding="utf-8"
+            )
+            wrote.append(f"wrote {args.json}")
+        return 0, None, wrote
+    lines = [f"outcome: {doc['outcome']}", f"terminal step: {doc['terminal_step']}"]
+    for level in doc["levels"]:
+        vertices, edges = level["vertices"], level["edges"]
+        lines.append(
+            f"level {level['level']}: {len(vertices)} vertices, {len(edges)} edges"
         )
-        out.line(f"wrote {len(result.levels) + 1} DOT files to {args.dot}")
-        wrote = True
-    if args.json:
-        doc = gamma_to_doc(result, dfa)
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        out.line(f"wrote {args.json}")
-        wrote = True
-    if wrote:
-        return 0
-    if args.format == "json":
-        _emit_json(out, gamma_to_doc(result, dfa))
-        return 0
-    out.line(f"outcome: {result.outcome}")
-    out.line(f"terminal step: {result.terminal_step}")
-    for level in result.levels:
-        graph = level.graph
-        out.line(
-            f"level {level.level}: {graph.vertex_count} vertices, "
-            f"{len(graph.edges)} edges"
-        )
-        for src, dst in sorted(graph.edges):
-            src_leaf = format_states(result.forest.leafage(level.vertices[src]))
-            dst_leaf = format_states(result.forest.leafage(level.vertices[dst]))
-            w = level.forcing.get((src, dst))
-            if w is not None:
-                out.line(
-                    f"  {src_leaf} -> {dst_leaf}  forced by {format_word(w, dfa.alphabet)}"
-                )
+        for edge in edges:
+            src = format_states(vertices[edge["src"]])
+            dst = format_states(vertices[edge["dst"]])
+            if "forced_by" in edge:
+                lines.append(f"  {src} -> {dst}  forced by {edge['forced_by']}")
             else:
-                out.line(f"  {src_leaf} -> {dst_leaf}  inherited")
-    return 0
+                lines.append(f"  {src} -> {dst}  inherited")
+    return 0, doc, lines
 
 
-def _cmd_reach(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_reach(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     tokens = [tok.strip() for tok in args.subset.split(",")]
     try:
@@ -251,156 +232,111 @@ def _cmd_reach(args: argparse.Namespace, out: _Out) -> int:
             f"--subset must be comma-separated integers, got '{args.subset}'"
         ) from None
     p = StateSet(targets)
-    result = build_gamma(dfa)
-    word, steps = reach_word(dfa, result, p)
-    if args.format == "json":
-        doc = {
-            "subset": sorted(p),
-            "word": list(word),
-            "word_str": format_word(word, dfa.alphabet),
-            "length": len(word),
-            "steps": [
-                {
-                    "level": step.level,
-                    "word": format_word(step.word, dfa.alphabet),
-                    "source": sorted(step.source),
-                    "target": sorted(step.target),
-                }
-                for step in steps
-            ],
-        }
-        _emit_json(out, doc)
-        return 0
-    out.line(f"word: {format_word(word, dfa.alphabet)}")
-    out.line(f"length: {len(word)}")
-    for i, step in enumerate(steps, start=1):
-        out.line(
-            f"step {i} (level {step.level}): {format_states(step.source)}"
-            f" . {format_word(step.word, dfa.alphabet)} = {format_states(step.target)}"
+    word, steps = reach_word(dfa, build_gamma(dfa), p)
+    doc = {
+        "subset": sorted(p),
+        "word": list(word),
+        "word_str": format_word(word, dfa.alphabet),
+        "length": len(word),
+        "steps": [
+            {
+                "level": step.level,
+                "word": format_word(step.word, dfa.alphabet),
+                "source": sorted(step.source),
+                "target": sorted(step.target),
+            }
+            for step in steps
+        ],
+    }
+    lines = [f"word: {doc['word_str']}", f"length: {doc['length']}"]
+    for i, step in enumerate(doc["steps"], start=1):
+        lines.append(
+            f"step {i} (level {step['level']}): {format_states(step['source'])}"
+            f" . {step['word']} = {format_states(step['target'])}"
         )
-    return 0
+    return 0, doc, lines
 
 
-def _cmd_sync(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_sync(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     report = reset_word(dfa)
-    if args.format == "json":
-        doc = {
-            "word": list(report.word),
-            "word_str": format_word(report.word, dfa.alphabet),
-            "length": report.length,
-            "halving_length": report.halving_length,
-            "compression_lengths": list(report.compression_lengths),
-            "cerny_bound": report.cerny_bound,
-            "within_cerny": report.within_cerny,
-            "cubic_bound": report.cubic_bound,
-            "within_cubic": report.within_cubic,
-        }
-        _emit_json(out, doc)
-        return 0
-    out.line(f"reset word: {format_word(report.word, dfa.alphabet)}")
-    out.line(f"length: {report.length}")
-    out.line(f"halving length: {report.halving_length}")
-    if report.compression_lengths:
-        joined = ", ".join(str(x) for x in report.compression_lengths)
-    else:
-        joined = "none"
-    out.line(f"compression lengths: {joined}")
-    out.line(
+    doc = {
+        "word": list(report.word),
+        "word_str": format_word(report.word, dfa.alphabet),
+        "length": report.length,
+        "halving_length": report.halving_length,
+        "compression_lengths": list(report.compression_lengths),
+        "cerny_bound": report.cerny_bound,
+        "within_cerny": report.within_cerny,
+        "cubic_bound": report.cubic_bound,
+        "within_cubic": report.within_cubic,
+    }
+    compressions = ", ".join(str(x) for x in report.compression_lengths) or "none"
+    lines = [
+        f"reset word: {doc['word_str']}",
+        f"length: {report.length}",
+        f"halving length: {report.halving_length}",
+        f"compression lengths: {compressions}",
         f"cerny bound: {report.cerny_bound}"
-        f" ({'within' if report.within_cerny else 'exceeded'})"
-    )
-    out.line(
+        f" ({'within' if report.within_cerny else 'exceeded'})",
         f"cubic bound: {report.cubic_bound}"
-        f" ({'within' if report.within_cubic else 'exceeded'})"
-    )
-    return 0
+        f" ({'within' if report.within_cubic else 'exceeded'})",
+    ]
+    return 0, doc, lines
 
 
-def _cmd_oracle(args: argparse.Namespace, out: _Out) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     if args.threshold:
         threshold = reset_threshold_exact(dfa, args.max_n)
-        if args.format == "json":
-            _emit_json(out, {"reset_threshold": threshold})
-        else:
-            shown = "none" if threshold is None else str(threshold)
-            out.line(f"reset threshold: {shown}")
-        return 0
+        shown = "none" if threshold is None else str(threshold)
+        return 0, {"reset_threshold": threshold}, [f"reset threshold: {shown}"]
     if args.monoid:
         monoid = transition_monoid(dfa)
-        singular = sum(
-            1 for t in monoid.elements if len(set(t)) < dfa.n
-        )
-        if args.format == "json":
-            _emit_json(out, {"monoid_size": len(monoid), "singular_size": singular})
-        else:
-            out.line(f"monoid size: {len(monoid)}")
-            out.line(f"singular size: {singular}")
-        return 0
+        singular = sum(1 for t in monoid.elements if len(set(t)) < dfa.n)
+        doc = {"monoid_size": len(monoid), "singular_size": singular}
+        return 0, doc, [f"monoid size: {len(monoid)}", f"singular size: {singular}"]
     reach = powerset_reach_map(dfa, args.max_n)
     total = (1 << dfa.n) - 1
     cr = len(reach) == total
-    if args.reach_map:
-        subsets = sorted(reach.words, key=lambda m: (m.bit_count(), m))
-        if args.format == "json":
-            doc = {
-                "completely_reachable": cr,
-                "reachable_count": len(reach),
-                "total": total,
-                "subsets": [
-                    {
-                        "states": sorted(StateSet.from_mask(mask)),
-                        "word": format_word(reach.words[mask], dfa.alphabet),
-                    }
-                    for mask in subsets
-                ],
-            }
-            _emit_json(out, doc)
-        else:
-            out.line(f"reachable subsets: {len(reach)} of {total}")
-            for mask in subsets:
-                word = format_word(reach.words[mask], dfa.alphabet)
-                out.line(f"  {format_states(StateSet.from_mask(mask))}: {word}")
-        return 0 if cr else 1
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "completely_reachable": cr,
-                "reachable_count": len(reach),
-                "total": total,
-            },
-        )
-    else:
-        out.line(f"completely reachable: {'yes' if cr else 'no'}")
-        out.line(f"reachable subsets: {len(reach)} of {total}")
-    return 0 if cr else 1
-
-
-def _cmd_bounds(args: argparse.Namespace, out: _Out) -> int:
-    dfa = _load_dfa(args.file)
-    n = dfa.n
-    compress = {k: compress_length_bound(n, k) for k in range(2, n + 1)}
-    if args.format == "json":
-        doc = {
-            "states": n,
-            "cerny": cerny_bound(n),
-            "cubic_reset": cubic_reset_bound(n),
-            "avoiding": avoiding_length_bound(n),
-            "halving": halving_length_bound(n),
-            "compress": {str(k): v for k, v in compress.items()},
+    code = 0 if cr else 1
+    doc = {"completely_reachable": cr, "reachable_count": len(reach), "total": total}
+    counted = f"reachable subsets: {len(reach)} of {total}"
+    if not args.reach_map:
+        return code, doc, [f"completely reachable: {'yes' if cr else 'no'}", counted]
+    doc["subsets"] = [
+        {
+            "states": sorted(StateSet.from_mask(mask)),
+            "word": format_word(reach.words[mask], dfa.alphabet),
         }
-        _emit_json(out, doc)
-        return 0
-    out.line(f"states: {n}")
-    out.line(f"cerny bound: {cerny_bound(n)}")
-    out.line(f"cubic reset bound: {cubic_reset_bound(n)}")
-    out.line(f"avoiding word bound: {avoiding_length_bound(n)}")
-    out.line(f"halving word bound: {halving_length_bound(n)}")
-    for k, value in compress.items():
-        out.line(f"compress bound (k={k}): {value}")
-    return 0
+        for mask in sorted(reach.words, key=lambda m: (m.bit_count(), m))
+    ]
+    lines = [counted]
+    for entry in doc["subsets"]:
+        lines.append(f"  {format_states(entry['states'])}: {entry['word']}")
+    return code, doc, lines
+
+
+def _cmd_bounds(args: argparse.Namespace) -> Report:
+    n = _load_dfa(args.file).n
+    doc = {
+        "states": n,
+        "cerny": cerny_bound(n),
+        "cubic_reset": cubic_reset_bound(n),
+        "avoiding": avoiding_length_bound(n),
+        "halving": halving_length_bound(n),
+        "compress": {str(k): compress_length_bound(n, k) for k in range(2, n + 1)},
+    }
+    lines = [
+        f"states: {n}",
+        f"cerny bound: {doc['cerny']}",
+        f"cubic reset bound: {doc['cubic_reset']}",
+        f"avoiding word bound: {doc['avoiding']}",
+        f"halving word bound: {doc['halving']}",
+    ]
+    for k, value in doc["compress"].items():
+        lines.append(f"compress bound (k={k}): {value}")
+    return 0, doc, lines
 
 
 _HANDLERS = {
@@ -424,12 +360,23 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    out = _Out(args.quiet)
     try:
-        return _HANDLERS[args.command](args, out)
+        code, doc, lines = _HANDLERS[args.command](args)
+        if args.format == "json" and doc is not None:
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "".join(line + "\n" for line in lines)
+        if not args.quiet:
+            sys.stdout.write(text)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "not completely reachable", so a fault must not end
+        # in Python's traceback and exit 1.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main() -> None:

@@ -9,9 +9,9 @@ from crautomata import (
     excl_dupl,
     extend_excl_dupl,
     preimage_table,
-    shortlex_key,
     transformation_of,
 )
+from crautomata.automaton import shortlex_key
 from crautomata.generators import cerny, fixed_example
 
 

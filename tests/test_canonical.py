@@ -11,10 +11,9 @@ from crautomata import (
     excl_dupl,
     fixed_example,
     random_dfa,
-    shortlex_key,
     transition_monoid,
 )
-from crautomata.automaton import transformation_signature
+from crautomata.automaton import shortlex_key, transformation_signature
 from crautomata.canonical import CanonicalWordSet
 
 

@@ -14,9 +14,9 @@ from crautomata import (
     e_family,
     fixed_example,
     parse_dfa,
-    run_cli,
     serialize_dfa,
 )
+from crautomata.cli import run_cli
 
 
 def write_dfa(tmp_path, dfa, name="machine.txt"):
@@ -439,8 +439,10 @@ E5_JSON = {
         "word_str": "a[5] a[4,5] a[2]",
         "length": 3,
         "steps": [
-            {"level": 1, "word": "a[5]", "source": [0, 1, 2, 3, 4], "target": [0, 1, 2, 3]},
-            {"level": 2, "word": "a[4,5]", "source": [0, 1, 2, 3], "target": [0, 1, 2]},
+            {"level": 1, "word": "a[5]", "source": [0, 1, 2, 3, 4],
+             "target": [0, 1, 2, 3]},
+            {"level": 2, "word": "a[4,5]", "source": [0, 1, 2, 3],
+             "target": [0, 1, 2]},
             {"level": 1, "word": "a[2]", "source": [0, 1, 2], "target": [0, 2]},
         ],
     },
@@ -497,7 +499,8 @@ def test_gamma_written_files_exact(tmp_path, capsys, e5_file, fmt):
     code, out = _run(capsys, argv)
     assert code == 0
     assert out == f"wrote 4 DOT files to {dots}\nwrote {doc_path}\n"
-    assert doc_path.read_text(encoding="utf-8") == json.dumps(E5_GAMMA_DOC, indent=2) + "\n"
+    written = doc_path.read_text(encoding="utf-8")
+    assert written == json.dumps(E5_GAMMA_DOC, indent=2) + "\n"
     assert (dots / "gamma_2.dot").read_text(encoding="utf-8") == (
         "digraph gamma_2 {\n"
         '  v0 [label="{0, 1}"];\n'
@@ -535,14 +538,28 @@ def test_generate_output_exact(tmp_path, capsys):
     code, out = _run(capsys, ["generate", "cerny", "--n", "3"])
     assert code == 0
     assert out == "states 3\nalphabet a b\n1 1\n1 2\n2 0\n"
-    c3_doc = '{\n  "states": 3,\n  "alphabet": [\n    "a",\n    "b"\n  ],\n  "delta": ['
+    # generate keeps the document's own key order, unlike the sorted reports.
+    c3_doc = {"states": 3, "alphabet": ["a", "b"], "delta": [[1, 1], [1, 2], [2, 0]]}
     code, out = _run(capsys, ["--format", "json", "generate", "cerny", "--n", "3"])
     assert code == 0
-    assert out.startswith(c3_doc)
-    assert json.loads(out) == {"states": 3, "alphabet": ["a", "b"], "delta": [[1, 1], [1, 2], [2, 0]]}
+    assert out == json.dumps(c3_doc, indent=2) + "\n"
     target = tmp_path / "c3.json"
     argv = ["--format", "json", "generate", "cerny", "--n", "3", "-o", str(target)]
     code, written = _run(capsys, argv)
     assert code == 0
     assert written == f"wrote {target}\n"
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_internal_error_exits_two(monkeypatch, capsys, e5_file):
+    import crautomata.cli
+
+    def broken(dfa):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(crautomata.cli, "build_gamma", broken)
+    for argv in (["analyze", e5_file], ["--format", "json", "gamma", e5_file]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: TypeError: unsupported operand\n"

@@ -1,10 +1,11 @@
-from crautomata import build_gamma, fixed_example, forest_dot, level_dot
+from crautomata import build_gamma, fixed_example, gamma_to_doc
+from crautomata.dot import forest_dot, level_dot
 
 
 def test_level_dot_gamma2():
     e5 = fixed_example("e5")
     result = build_gamma(e5)
-    text = level_dot(result.levels[1], result.forest, e5)
+    text = level_dot(gamma_to_doc(result, e5)["levels"][1])
     assert text.startswith("digraph gamma_2 {")
     assert text.rstrip().endswith("}")
     assert text.count("label=") >= 6  # 3 vertices + 3 forced-edge labels
@@ -19,7 +20,7 @@ def test_level_dot_gamma2():
 def test_level_dot_edges_sorted():
     e5 = fixed_example("e5")
     result = build_gamma(e5)
-    text = level_dot(result.levels[0], result.forest, e5)
+    text = level_dot(gamma_to_doc(result, e5)["levels"][0])
     arrows = [line for line in text.splitlines() if "->" in line]
     assert arrows == sorted(arrows)
     assert len(arrows) == 5
@@ -27,8 +28,8 @@ def test_level_dot_edges_sorted():
 
 
 def test_forest_dot():
-    result = build_gamma(fixed_example("e5"))
-    text = forest_dot(result.forest)
+    e5 = fixed_example("e5")
+    text = forest_dot(gamma_to_doc(build_gamma(e5), e5)["forest"])
     assert text.startswith("digraph forest {")
     assert "rankdir=BT;" in text
     assert text.count("f") >= 11

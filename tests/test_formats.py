@@ -9,13 +9,12 @@ from crautomata import (
     dfa_to_doc,
     doc_to_dfa,
     fixed_example,
-    format_states,
-    format_word,
     gamma_to_doc,
     parse_dfa,
     random_dfa,
     serialize_dfa,
 )
+from crautomata.formats import format_states, format_word
 
 
 def test_round_trip_fixtures():
@@ -151,3 +150,4 @@ def test_format_word():
 def test_format_states():
     assert format_states([3, 0]) == "{0, 3}"
     assert format_states([]) == "{}"
+

@@ -7,13 +7,13 @@ from crautomata import (
     build_gamma,
     cerny,
     excl_dupl,
-    expand_step,
     fixed_example,
     powerset_reach_map,
     random_dfa,
     reach_word,
     transformation_of,
 )
+from crautomata.witness import expand_step
 
 
 def test_expand_step_fixture():
