@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crautomata import (
     Dfa,
@@ -151,3 +152,68 @@ def test_format_states():
     assert format_states([3, 0]) == "{0, 3}"
     assert format_states([]) == "{}"
 
+
+# The readers take input from outside the program: whatever they are given,
+# they return a Dfa or raise ValueError, never another exception.
+
+
+@st.composite
+def _near_valid(draw):
+    """(n, letter names, rows): often a valid automaton, often just not."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=m, max_size=m))
+    entries = st.integers(min_value=-1, max_value=n)
+    rows = draw(
+        st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+    return n, names, rows
+
+
+def _as_text(parts):
+    n, names, rows = parts
+    table = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return f"states {n}\nalphabet {' '.join(names)}\n{table}"
+
+
+_TOKENS = ["states", "alphabet", "#", "0", "1", "2", "-1", "a", "b", "1.5"]
+_FORMAT_LIKE = st.lists(
+    st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=8
+).map("\n".join)
+_TEXTS = st.one_of(_near_valid().map(_as_text), _FORMAT_LIKE, st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TEXTS, _TEXTS.map(str.encode), st.binary()))
+def test_parse_dfa_fuzz_returns_dfa_or_value_error(text):
+    try:
+        assert isinstance(parse_dfa(text), Dfa)
+    except ValueError:
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _doc_like(draw):
+    """An automaton document, with any field possibly swapped for other JSON."""
+    n, names, rows = draw(_near_valid())
+    doc = {"states": n, "alphabet": names, "delta": rows}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        doc[key] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_doc_like(), _JSON))
+def test_doc_to_dfa_fuzz_returns_dfa_or_value_error(doc):
+    try:
+        assert isinstance(doc_to_dfa(doc), Dfa)
+    except ValueError:
+        pass
