@@ -171,9 +171,10 @@ class Dfa:
 
     def check_word(self, w: Sequence[int]) -> Word:
         w = tuple(w)
+        m = self.m
         for a in w:
-            if not 0 <= a < self.m:
-                raise ValueError(f"letter index {a} out of range 0..{self.m - 1}")
+            if not 0 <= a < m:
+                raise ValueError(f"letter index {a} out of range 0..{m - 1}")
         return w
 
 

@@ -7,8 +7,9 @@ q knocks p out of the image.  This drives the image size to at most n/2 in
 at most n/2 - 1 rounds of cost at most n each.  The compression phase then
 appends shortest image-shrinking words until a single state remains.  On
 completely reachable input the total length stays within a cubic bound that
-is roughly 7n^3/48, well under the classic (n-1)^2 conjecture territory for
-small n but proven unconditionally here.
+is roughly 7n^3/48, proven unconditionally here.  It is never below the
+Cerny bound (n-1)^2: the two agree for n <= 3, and from n = 4 on the cubic
+bound is larger (11 against 9 at n = 4).
 
 Both searches return the shortest word, shortlex-least among those, without
 walking images of the whole state set.  A word shrinks P exactly when it
