@@ -188,23 +188,20 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
 def _cmd_gamma(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     doc = gamma_to_doc(build_gamma(dfa), dfa)
-    if args.dot or args.json:
-        wrote = []
-        if args.dot:
-            directory = Path(args.dot)
-            directory.mkdir(parents=True, exist_ok=True)
-            for level in doc["levels"]:
-                path = directory / f"gamma_{level['level']}.dot"
-                path.write_text(level_dot(level), encoding="utf-8")
-            (directory / "forest.dot").write_text(
-                forest_dot(doc["forest"]), encoding="utf-8"
-            )
-            wrote.append(f"wrote {len(doc['levels']) + 1} DOT files to {args.dot}")
-        if args.json:
-            Path(args.json).write_text(
-                json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-            )
-            wrote.append(f"wrote {args.json}")
+    wrote: list[str] = []
+    if args.dot:
+        directory = Path(args.dot)
+        directory.mkdir(parents=True, exist_ok=True)
+        for level in doc["levels"]:
+            path = directory / f"gamma_{level['level']}.dot"
+            path.write_text(level_dot(level), encoding="utf-8")
+        forest_path = directory / "forest.dot"
+        forest_path.write_text(forest_dot(doc["forest"]), encoding="utf-8")
+        wrote.append(f"wrote {len(doc['levels']) + 1} DOT files to {args.dot}")
+    if args.json:
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        wrote.append(f"wrote {args.json}")
+    if wrote:
         return 0, None, wrote
     lines = [f"outcome: {doc['outcome']}", f"terminal step: {doc['terminal_step']}"]
     for level in doc["levels"]:
