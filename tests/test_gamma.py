@@ -133,6 +133,25 @@ def test_witness_is_oracle_unreachable():
     assert reach.word_for(witness) is None
 
 
+@pytest.mark.parametrize(
+    "n, m, seed, step, witness",
+    [
+        (3, 2, 4, 1, [0, 2]),
+        (4, 2, 42, 2, [0, 2, 3]),
+        (5, 2, 10, 2, [0, 2, 3, 4]),  # three sink clusters
+    ],
+)
+def test_witness_sink_is_not_always_the_first_cluster(n, m, seed, step, witness):
+    # The chosen sink is the one whose lowest state is smallest, which here
+    # is not the first SCC Tarjan completes on the last level.
+    d = random_dfa(n, m, seed)
+    result = build_gamma(d)
+    assert result.outcome == FAILURE and result.terminal_step == step
+    got = unreachable_witness(result, d)
+    assert got == StateSet(witness)
+    assert powerset_reach_map(d).word_for(got) is None
+
+
 def test_witness_usage_error_on_success():
     e5 = fixed_example("e5")
     result = build_gamma(e5)
