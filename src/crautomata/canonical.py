@@ -9,6 +9,11 @@ wait).  Parked words are revisited when the cap is raised: the walk resumes
 from its frontier instead of restarting, and the seen-signature set is
 global across defect levels.
 
+``grow`` is one loop over word lengths.  At each length it sorts the words
+parked at that length together with the children of the words it has just
+kept, then keeps, rejects or parks each in turn; it ends when nothing is
+pending or parked.
+
 Kept words are stored in one list per defect.  Every signature of defect k
 is found by the first ``grow`` whose cap reaches k, and that walk accepts
 words in shortlex order, so each list is filled once, already in order.
@@ -79,37 +84,28 @@ class CanonicalWordSet:
             return
         self._by_defect.extend([] for _ in range(defect_cap - self._cap))
         self._cap = defect_cap
-        if not self._parked:
-            return
-        length = min(self._parked)
+        n, m, pre, seen = self._dfa.n, self._dfa.m, self._pre, self._seen
+        parked, self._parked = self._parked, {}
         pending: list[_Entry] = []
-        while True:
-            batch = self._parked.pop(length, [])
-            candidates = sorted(batch + pending, key=lambda e: e[0])
+        length = min(parked, default=0)
+        while pending or parked:
+            # Words of one length are distinct, so the tuple sort is by word.
+            candidates = sorted(parked.pop(length, []) + pending)
             pending = []
-            still_parked: list[_Entry] = []
             for w, em, dm in candidates:
                 sig = (em, dm)
-                if sig in self._seen:
+                if sig in seen:
                     continue
-                if em.bit_count() > self._cap:
-                    still_parked.append((w, em, dm))
+                defect = em.bit_count()
+                if defect > defect_cap:
+                    self._parked.setdefault(length, []).append((w, em, dm))
                     continue
-                self._seen.add(sig)
-                self._by_defect[em.bit_count()].append((w, em, dm))
-                n = self._dfa.n
-                for a in range(self._dfa.m):
-                    cem, cdm = extend_signature_masks(self._pre[a], em, dm, n)
+                seen.add(sig)
+                self._by_defect[defect].append((w, em, dm))
+                for a in range(m):
+                    cem, cdm = extend_signature_masks(pre[a], em, dm, n)
                     pending.append((w + (a,), cem, cdm))
-            if still_parked:
-                self._parked[length] = still_parked
-            future = [ln for ln in self._parked if ln > length]
-            if pending:
-                length += 1
-            elif future:
-                length = min(future)
-            else:
-                break
+            length += 1
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
         """Raw (word, excl mask, dupl mask) triples of defect exactly k.

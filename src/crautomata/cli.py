@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=DEFAULT_MAX_STATES,
-        help="state-count guard for the powerset search",
+        help="state-count guard for the brute-force searches",
     )
 
     p = sub.add_parser("bounds", help="print the word-length bounds for a size")
@@ -289,6 +289,10 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
         shown = "none" if threshold is None else str(threshold)
         return 0, {"reset_threshold": threshold}, [f"reset threshold: {shown}"]
     if args.monoid:
+        if dfa.n > args.max_n:
+            raise ValueError(
+                f"monoid closure refused: {dfa.n} states exceeds --max-n {args.max_n}"
+            )
         monoid = transition_monoid(dfa)
         singular = sum(1 for t in monoid.elements if len(set(t)) < dfa.n)
         doc = {"monoid_size": len(monoid), "singular_size": singular}

@@ -9,7 +9,7 @@ clusters become the next level of the cluster forest.  The process stops
 with SUCCESS on a strongly connected level and with FAILURE when every new
 cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
-the SCC numbering directly.
+the forest's top level, which holds the terminal level's clusters.
 """
 
 from __future__ import annotations
@@ -34,16 +34,10 @@ class ClusterForest:
     """
 
     def __init__(self, n: int):
-        self._n = n
         self._levels: list[list[int]] = [list(range(n))]
         self._parent: list[int | None] = [None] * n
-        self._children: list[tuple[int, ...]] = [()] * n
         self._level_of: list[int] = [1] * n
         self._leafage: list[int] = [1 << q for q in range(n)]
-
-    @property
-    def n(self) -> int:
-        return self._n
 
     @property
     def level_count(self) -> int:
@@ -62,7 +56,7 @@ class ClusterForest:
         return self._parent[node]
 
     def children_of(self, node: int) -> tuple[int, ...]:
-        return self._children[node]
+        return tuple(c for c, p in enumerate(self._parent) if p == node)
 
     def level_of(self, node: int) -> int:
         return self._level_of[node]
@@ -88,7 +82,6 @@ class ClusterForest:
                 self._parent[member] = nid
                 mask |= self._leafage[member]
             self._parent.append(None)
-            self._children.append(tuple(group))
             self._level_of.append(level)
             self._leafage.append(mask)
             new_ids.append(nid)
@@ -184,10 +177,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         groups = [
             [level.vertices[v] for v in cluster] for cluster in part.clusters
         ]
-        forest.add_level(groups)
+        new_nodes = forest.add_level(groups)
         if len(part.clusters) == 1:
             return GammaResult(SUCCESS, k, tuple(levels), forest)
-        new_nodes = forest.level_nodes(k + 1)
         if all(forest.leafage_mask(nid).bit_count() <= k for nid in new_nodes):
             return GammaResult(FAILURE, k, tuple(levels), forest)
         # New node i is cluster i, so cluster ids are the next level's vertices.
@@ -209,25 +201,22 @@ def decide_complete_reachability(dfa: Dfa) -> tuple[bool, GammaResult]:
 def unreachable_witness(result: GammaResult, dfa: Dfa) -> StateSet:
     """A subset guaranteed unreachable after FAILURE.
 
-    Take a cluster of the terminal level that is minimal in the reachability
-    order (a cluster that no edge leaves; ties broken by the smallest state
-    in the leafage) and return the complement of its leafage.
+    The forest's top level holds the clusters of the terminal level, each
+    vertex's cluster being its forest parent.  Take a sink cluster (one that
+    no edge leaves; ties broken by the smallest state in the leafage) and
+    return the complement of its leafage.
     """
     if result.outcome != FAILURE:
         raise ValueError("an unreachable witness only exists for FAILURE results")
+    forest = result.forest
     last = result.levels[-1]
-    part = strongly_connected_components(last.graph)
-    cid = part.cluster_id
-    has_out = {cid[s] for s, t in last.graph.edges if cid[s] != cid[t]}
-    best_mask = None
-    for i, cluster in enumerate(part.clusters):
-        if i in has_out:
-            continue
-        mask = 0
-        for v in cluster:
-            mask |= result.forest.leafage_mask(last.vertices[v])
-        if best_mask is None or (mask & -mask) < (best_mask & -best_mask):
-            best_mask = mask
-    assert best_mask is not None  # cluster 0 is a sink: Tarjan numbers sinks first
+    cluster = [forest.parent_of(nid) for nid in last.vertices]
+    has_out = {cluster[s] for s, t in last.graph.edges if cluster[s] != cluster[t]}
+    sinks = [
+        forest.leafage_mask(c)
+        for c in forest.level_nodes(forest.level_count)
+        if c not in has_out
+    ]
+    best_mask = min(sinks, key=lambda mask: mask & -mask)
     full = (1 << dfa.n) - 1
     return StateSet.from_mask(full & ~best_mask)

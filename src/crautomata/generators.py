@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .automaton import Dfa
 
 
@@ -113,6 +111,11 @@ def random_dfa(n: int, m: int, seed: int) -> Dfa:
     """
     if n < 1 or m < 1:
         raise ValueError(f"random_dfa requires n >= 1 and m >= 1, got n={n}, m={m}")
+    # Imported here, not at module level: numpy is the package's only
+    # dependency and nothing else needs it, so ``import crautomata`` stays
+    # fast and small for every command that draws no random automaton.
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     table = rng.integers(0, n, size=(n, m))
     delta = tuple(tuple(int(t) for t in row) for row in table)

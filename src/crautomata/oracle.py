@@ -36,12 +36,6 @@ class ReachMap:
     def word_for(self, p: StateSet) -> Word | None:
         return self.words.get(p.mask)
 
-    def reachable(self, p: StateSet) -> bool:
-        return p.mask in self.words
-
-    def subsets(self) -> list[StateSet]:
-        return [StateSet.from_mask(mask) for mask in self.words]
-
 
 @dataclass(frozen=True)
 class Monoid:

@@ -5,10 +5,11 @@ level with an edge penetrating the current target (source cluster outside,
 target cluster inside); such an edge is always freshly forced there, and its
 word w lets the target be rewritten as the image of a strictly larger set:
 the full w-preimage of one duplicate state plus one chosen preimage of every
-other target state.  Each round applies w once, as a transformation, and
-reads the duplicate states and that larger set off its preimage masks.
-Rounds repeat until the larger set is Q; the final word is the
-concatenation of the step words, outermost round first.
+other target state.  Each round reads the duplicate states and that larger
+set off the preimage masks of w's transformation.  Rounds repeat until the
+larger set is Q; the final word is the concatenation of the step words,
+outermost round first.  One call reads each level's leafage masks once and
+applies each distinct word once, however many rounds use it.
 """
 
 from __future__ import annotations
@@ -93,31 +94,33 @@ def reach_word(
         raise ValueError("target subset contains states outside the automaton")
 
     full = (1 << dfa.n) - 1
+    leaves = [
+        [result.forest.leafage_mask(nid) for nid in level.vertices]
+        for level in result.levels
+    ]
+    applied: dict[Word, Transformation] = {}
     current = p.mask
     rounds: list[ReachStep] = []
     while current != full:
-        chosen = None
-        for level in result.levels:
-            inside = [
-                result.forest.leafage_mask(nid) & ~current == 0
-                for nid in level.vertices
-            ]
-            pens = sorted(
-                e for e in level.graph.edges if not inside[e[0]] and inside[e[1]]
+        for level, leaf in zip(result.levels, leaves):
+            inside = [mask & ~current == 0 for mask in leaf]
+            edge = min(
+                (e for e in level.graph.edges if not inside[e[0]] and inside[e[1]]),
+                default=None,
             )
-            if pens:
-                chosen = (level, pens[0])
+            if edge is not None:
                 break
-        if chosen is None:
+        else:
             raise RuntimeError("no penetrating edge found; hierarchy is inconsistent")
-        level, edge = chosen
         w = level.forcing.get(edge)
         if w is None:
             raise RuntimeError(
                 "penetrating edge at the least level must be freshly forced"
             )
-        target_leaf = result.forest.leafage_mask(level.vertices[edge[1]])
-        source = _expand(transformation_of(dfa, w), current, target_leaf)
+        trans = applied.get(w)
+        if trans is None:
+            trans = applied[w] = transformation_of(dfa, w)
+        source = _expand(trans, current, leaf[edge[1]])
         rounds.append(
             ReachStep(
                 level.level,

@@ -197,6 +197,17 @@ def test_oracle_guard(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_monoid_honours_max_n(tmp_path, capsys):
+    # Refused by the state count before the closure, which on e12 would
+    # enumerate a million transformations first.
+    e12 = write_dfa(tmp_path, fixed_example("e12"), "e12.txt")
+    assert run_cli(["oracle", e12, "--monoid", "--max-n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--max-n 10" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_bounds(tmp_path, capsys):
     source = write_dfa(tmp_path, cerny(6))
     assert run_cli(["bounds", source]) == 0
@@ -267,19 +278,30 @@ def test_mistyped_json_document_exits_two(tmp_path, capsys, doc):
     assert captured.err.count("\n") == 1
 
 
-def test_python_dash_m_entry_point():
+def _python(*args):
     src = str(Path(crautomata.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crautomata", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = _python("-m", "crautomata", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: crautomata")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is loaded only when random_dfa draws an automaton.
+    proc = _python("-c", "import sys, crautomata; print('numpy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 # Exact stdout of every command on e5: the text and JSON renderings are
