@@ -233,10 +233,10 @@ def apply_word(dfa: Dfa, p: StateSet, w: Sequence[int]) -> StateSet:
 def transformation_of(dfa: Dfa, w: Sequence[int]) -> Transformation:
     """The map q -> q . w as a tuple of length n."""
     w = dfa.check_word(w)
+    delta = dfa.delta
     image = list(range(dfa.n))
     for a in w:
-        row = dfa.delta
-        image = [row[q][a] for q in image]
+        image = [delta[q][a] for q in image]
     return tuple(image)
 
 

@@ -56,10 +56,6 @@ class CanonicalWordSet:
         }
 
     @property
-    def dfa(self) -> Dfa:
-        return self._dfa
-
-    @property
     def defect_cap(self) -> int:
         return self._cap
 

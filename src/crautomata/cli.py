@@ -228,7 +228,11 @@ def _cmd_reach(args: argparse.Namespace) -> Report:
         raise ValueError(
             f"--subset must be comma-separated integers, got '{args.subset}'"
         ) from None
-    p = StateSet(targets)
+    # Range-check before building the mask, whose size grows with the index.
+    in_range = [q for q in targets if q < dfa.n]
+    p = StateSet(in_range)
+    if len(in_range) < len(targets):
+        raise ValueError("target subset contains states outside the automaton")
     word, steps = reach_word(dfa, build_gamma(dfa), p)
     doc = {
         "subset": sorted(p),
@@ -284,15 +288,15 @@ def _cmd_sync(args: argparse.Namespace) -> Report:
 
 def _cmd_oracle(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
+    if dfa.n > args.max_n:
+        raise ValueError(
+            f"brute-force search refused: {dfa.n} states exceeds --max-n {args.max_n}"
+        )
     if args.threshold:
         threshold = reset_threshold_exact(dfa, args.max_n)
         shown = "none" if threshold is None else str(threshold)
         return 0, {"reset_threshold": threshold}, [f"reset threshold: {shown}"]
     if args.monoid:
-        if dfa.n > args.max_n:
-            raise ValueError(
-                f"monoid closure refused: {dfa.n} states exceeds --max-n {args.max_n}"
-            )
         monoid = transition_monoid(dfa)
         singular = sum(1 for t in monoid.elements if len(set(t)) < dfa.n)
         doc = {"monoid_size": len(monoid), "singular_size": singular}

@@ -55,9 +55,6 @@ class ClusterForest:
     def parent_of(self, node: int) -> int | None:
         return self._parent[node]
 
-    def children_of(self, node: int) -> tuple[int, ...]:
-        return tuple(c for c, p in enumerate(self._parent) if p == node)
-
     def level_of(self, node: int) -> int:
         return self._level_of[node]
 

@@ -126,8 +126,7 @@ def transition_monoid(
             if t2 not in elements:
                 if len(elements) >= max_size:
                     raise ValueError(
-                        f"monoid closure refused: more than {max_size} elements "
-                        f"(raise max_size to override)"
+                        f"monoid closure refused: more than {max_size} elements"
                     )
                 elements[t2] = w + (a,)
                 queue.append(t2)

@@ -18,11 +18,12 @@ distances per automaton: a breadth-first search backwards on the pair graph
 from the merged pairs, O(m n^2), as in Eppstein's greedy synchronization.
 A word u avoids q exactly when the preimage {q} . u^-1 is empty, so avoiding
 words come from a breadth-first search backwards over preimage sets of {q}.
-Either way the word is then rebuilt from the front, each letter the first
-that leaves a completion of the remaining length.  The pair table is
-polynomial.  The backward preimage search has no proven polynomial bound on
-general automata: nothing bounds the number of distinct preimage sets it
-meets by a polynomial in n.
+Both step backwards through the letter-preimage masks of
+``automaton.preimage_table``.  Either way the word is then rebuilt from the
+front, each letter the first that leaves a completion of the remaining
+length.  The pair table is polynomial.  The backward preimage search has no
+proven polynomial bound on general automata: nothing bounds the number of
+distinct preimage sets it meets by a polynomial in n.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ def cubic_reset_bound(n: int) -> int:
 
 
 def avoiding_length_bound(n: int) -> int:
-    """Every state of a completely reachable automaton is avoidable within n letters."""
+    """Avoiding-word length bound for completely reachable automata.
+
+    With n >= 2 states every state is avoidable within n letters.  With one
+    state no word avoids it, and ``avoiding_word`` returns None.
+    """
     return n
 
 
@@ -84,12 +89,7 @@ def compress_length_bound(n: int, k: int) -> int:
     return math.comb(n - k + 2, 2)
 
 
-@lru_cache(maxsize=8)
-def _preimage_masks(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
-    """``masks[a][q]`` is the bit mask of q a^-1."""
-    return preimage_table(dfa)
-
-
+# Cached, not passed in: bench/tracing.py counts compress_word calls by name.
 @lru_cache(maxsize=8)
 def _pair_distances(dfa: Dfa) -> tuple[int, ...]:
     """Length of the shortest word merging x and y, stored at x * n + y.
@@ -100,7 +100,7 @@ def _pair_distances(dfa: Dfa) -> tuple[int, ...]:
     Each pair is expanded once, so the cost is O(m n^2).
     """
     n = dfa.n
-    pre = [[tuple(iter_bits(mask)) for mask in col] for col in _preimage_masks(dfa)]
+    pre = [[tuple(iter_bits(mask)) for mask in col] for col in preimage_table(dfa)]
     dist = [-1] * (n * n)
     for z in range(n):
         dist[z * n + z] = 0
@@ -128,7 +128,7 @@ def _avoiding_levels(dfa: Dfa, q: int) -> list[list[int]] | None:
     preimage; the levels before it are returned, so their count is the
     length of the shortest avoiding word.
     """
-    pre = _preimage_masks(dfa)
+    pre = preimage_table(dfa)
     levels = [[1 << q]]
     seen = {1 << q}
     while levels[-1]:

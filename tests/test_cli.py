@@ -152,6 +152,19 @@ def test_reach_errors(tmp_path, capsys):
     assert "succeeded" in capsys.readouterr().err
 
 
+def test_reach_rejects_huge_index_before_building_mask(tmp_path, capsys):
+    # A mask for index 10^14 would need terabytes; the index is refused first.
+    source = write_dfa(tmp_path, fixed_example("e5"))
+    assert run_cli(["reach", source, "--subset", "0,99999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: target subset contains states outside the automaton\n"
+    )
+    assert run_cli(["reach", source, "--subset", "0,-1"]) == 2
+    assert "state index must be non-negative" in capsys.readouterr().err
+
+
 def test_sync(tmp_path, capsys):
     source = write_dfa(tmp_path, cerny(4))
     assert run_cli(["sync", source]) == 0
@@ -193,8 +206,12 @@ def test_oracle_exit_one_when_not_cr(tmp_path, capsys):
 
 def test_oracle_guard(tmp_path, capsys):
     c4 = write_dfa(tmp_path, cerny(4))
-    assert run_cli(["oracle", c4, "--max-n", "3"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for mode in ([], ["--threshold"], ["--reach-map"]):
+        assert run_cli(["oracle", c4, *mode, "--max-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--max-n 3" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_oracle_monoid_honours_max_n(tmp_path, capsys):

@@ -106,5 +106,5 @@ def test_monoid_words_reproduce_elements():
 
 
 def test_monoid_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than 10 elements"):
         transition_monoid(cerny(10), max_size=10)
