@@ -1,22 +1,23 @@
 """Shortlex enumeration of canonical words, one per (excl, dupl) signature.
 
-The enumeration is a breadth-first walk of the word tree in shortlex order.
-A word is kept when its signature has not been seen before, rejected together
-with its whole subtree when it has (the signature of an extension depends
-only on the signature of what it extends), and parked when its defect exceeds
-the current cap (defect never decreases along extensions, so the subtree can
-wait).  Parked words are revisited when the cap is raised: the walk resumes
-from its frontier instead of restarting, and the seen-signature set is
-global across defect levels.
+A word is canonical when it is the shortlex-least word with its signature.
+Every prefix of a canonical word is canonical (the signature of an extension
+depends only on the signature of what it extends), so the canonical words
+form a tree, walked here from the empty word.  A word whose signature has
+been seen before is rejected together with its whole subtree.
 
-``grow`` is one loop over word lengths.  At each length it sorts the words
-parked at that length together with the children of the words it has just
-kept, then keeps, rejects or parks each in turn; it ends when nothing is
-pending or parked.
+Defect never decreases along extensions, so the walk goes one defect at a
+time.  Each child of a kept word waits in a frontier keyed by its own
+defect and then by its length; a child whose signature is already seen is
+not queued at all.  Raising the cap to k walks only the defect-k bucket,
+shortest length first: every defect-k word of a given length comes from a
+kept word of defect at most k one letter shorter, so the whole batch is
+waiting when its length is reached, and sorting it (a merge of sorted runs)
+puts it in shortlex order.  Each generated word is queued once and examined
+once, and the seen-signature set is shared by all defects.
 
-Kept words are stored in one list per defect.  Every signature of defect k
-is found by the first ``grow`` whose cap reaches k, and that walk accepts
-words in shortlex order, so each list is filled once, already in order.
+Kept words are stored in one list per defect, filled by the one walk of
+that defect, already in shortlex order.
 """
 
 from __future__ import annotations
@@ -41,23 +42,16 @@ class CanonicalWordSet:
     def __init__(self, dfa: Dfa):
         self._dfa = dfa
         self._pre = preimage_table(dfa)
-        self._cap = 0
-        self._seen: set[tuple[int, int]] = {(0, 0)}
+        self._seen: set[tuple[int, int]] = set()
         # _by_defect[k] holds the kept words of defect k in shortlex order.
-        self._by_defect: list[list[_Entry]] = [[((), 0, 0)]]
-        # Candidates whose defect exceeded the cap when generated, keyed by
-        # word length; each list stays in shortlex order.  The walk starts
-        # from the children of the empty word.
-        self._parked: dict[int, list[_Entry]] = {
-            1: [
-                ((a,), *extend_signature_masks(self._pre[a], 0, 0, dfa.n))
-                for a in range(dfa.m)
-            ]
-        }
+        self._by_defect: list[list[_Entry]] = []
+        # _waiting[k][length] holds queued words of defect k not yet walked.
+        self._waiting: dict[int, dict[int, list[_Entry]]] = {0: {0: [((), 0, 0)]}}
+        self._walk_next_defect()
 
     @property
     def defect_cap(self) -> int:
-        return self._cap
+        return len(self._by_defect) - 1
 
     @property
     def entries(self) -> list[tuple[Word, ExclDuplPair]]:
@@ -75,42 +69,40 @@ class CanonicalWordSet:
         return sum(len(entries) for entries in self._by_defect)
 
     def grow(self, defect_cap: int) -> None:
-        """Raise the defect cap, resuming the shortlex walk where it stopped."""
-        if defect_cap <= self._cap:
-            return
-        self._by_defect.extend([] for _ in range(defect_cap - self._cap))
-        self._cap = defect_cap
-        n, m, pre, seen = self._dfa.n, self._dfa.m, self._pre, self._seen
-        parked, self._parked = self._parked, {}
-        pending: list[_Entry] = []
-        length = min(parked, default=0)
-        while pending or parked:
+        """Raise the defect cap, walking the waiting words of each new defect."""
+        while len(self._by_defect) <= defect_cap:
+            self._walk_next_defect()
+
+    def _walk_next_defect(self) -> None:
+        n, m, pre = self._dfa.n, self._dfa.m, self._pre
+        seen, waiting = self._seen, self._waiting
+        defect = len(self._by_defect)
+        kept: list[_Entry] = []
+        self._by_defect.append(kept)
+        by_length = waiting.setdefault(defect, {})
+        while by_length:
+            length = min(by_length)
             # Words of one length are distinct, so the tuple sort is by word.
-            candidates = sorted(parked.pop(length, []) + pending)
-            pending = []
-            for w, em, dm in candidates:
-                sig = (em, dm)
-                if sig in seen:
+            for w, em, dm in sorted(by_length.pop(length)):
+                if (em, dm) in seen:
                     continue
-                defect = em.bit_count()
-                if defect > defect_cap:
-                    self._parked.setdefault(length, []).append((w, em, dm))
-                    continue
-                seen.add(sig)
-                self._by_defect[defect].append((w, em, dm))
+                seen.add((em, dm))
+                kept.append((w, em, dm))
                 for a in range(m):
                     cem, cdm = extend_signature_masks(pre[a], em, dm, n)
-                    pending.append((w + (a,), cem, cdm))
-            length += 1
+                    if (cem, cdm) not in seen:
+                        queue = waiting.setdefault(cem.bit_count(), {})
+                        queue.setdefault(length + 1, []).append((w + (a,), cem, cdm))
+        del waiting[defect]
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
         """Raw (word, excl mask, dupl mask) triples of defect exactly k.
 
         This is the stored list itself, in shortlex order; do not mutate it.
         """
-        if k > self._cap:
+        if k > self.defect_cap:
             raise ValueError(
-                f"canonical word set was built with defect cap {self._cap}, "
+                f"canonical word set was built with defect cap {self.defect_cap}, "
                 f"cannot list defect {k}"
             )
         if k < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import Dfa, StateSet, Word, iter_bits
-from .canonical import CanonicalWordSet, _Entry
+from .canonical import CanonicalWordSet
 from .digraph import SimpleDigraph, strongly_connected_components
 
 SUCCESS = "SUCCESS"
@@ -118,7 +118,7 @@ class GammaResult:
 def _build_level(
     forest: ClusterForest,
     k: int,
-    entries: list[_Entry],
+    entries: list[tuple[Word, int, int]],
     inherited: frozenset[tuple[int, int]],
 ) -> GammaLevel:
     """The level-k graph on the forest's level-k nodes.

@@ -124,6 +124,21 @@ def test_resumable_growth_equals_fresh_build():
     for k in range(5):
         assert grown.signatures_of_defect(k) == fresh.signatures_of_defect(k)
 
+    # Caps raised one at a time give what one jump gives, defect by defect.
+    dfas = [random_dfa(2 + i % 7, 1 + i % 3, 7000 + i) for i in range(20)]
+    for dfa in dfas + [e_family(7, 6)]:
+        top = dfa.n - 1
+        stepped = CanonicalWordSet(dfa)
+        jumped = CanonicalWordSet(dfa)
+        jumped.grow(top)
+        for cap in range(1, top + 1):
+            stepped.grow(cap)
+            assert stepped.defect_cap == cap
+            got = stepped.signatures_of_defect(cap)
+            assert got == jumped.signatures_of_defect(cap), (dfa, cap)
+        assert stepped.entries == jumped.entries
+        assert len(stepped) == len(jumped)
+
 
 def test_defect_cap_is_monotone_noop_downward():
     e5 = fixed_example("e5")
