@@ -240,19 +240,20 @@ def transformation_of(dfa: Dfa, w: Sequence[int]) -> Transformation:
     return tuple(image)
 
 
+def preimage_masks(t: Sequence[int]) -> list[int]:
+    """``pre[q]`` is the bit mask of the states that t sends to q."""
+    pre = [0] * len(t)
+    for q, image in enumerate(t):
+        pre[image] |= 1 << q
+    return pre
+
+
 def transformation_signature(n: int, t: Transformation) -> ExclDuplPair:
     """The (excl, dupl) signature of an explicit transformation."""
-    counts = [0] * n
-    for q in t:
-        counts[q] += 1
-    excl = 0
-    dupl = 0
-    for q, c in enumerate(counts):
-        if c == 0:
-            excl |= 1 << q
-        elif c >= 2:
-            dupl |= 1 << q
-    return ExclDuplPair(StateSet.from_mask(excl), StateSet.from_mask(dupl))
+    pre = preimage_masks(t)
+    excl = StateSet(q for q, mask in enumerate(pre) if not mask)
+    dupl = StateSet(q for q, mask in enumerate(pre) if mask & (mask - 1))
+    return ExclDuplPair(excl, dupl)
 
 
 def defect(dfa: Dfa, w: Sequence[int]) -> int:
@@ -270,13 +271,7 @@ def preimage_table(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
 
     Each letter's sets partition Q.
     """
-    masks = []
-    for a in range(dfa.m):
-        col = [0] * dfa.n
-        for q in range(dfa.n):
-            col[dfa.delta[q][a]] |= 1 << q
-        masks.append(tuple(col))
-    return tuple(masks)
+    return tuple(tuple(preimage_masks(column)) for column in zip(*dfa.delta))
 
 
 def extend_signature_masks(

@@ -25,6 +25,7 @@ from .automaton import (  # noqa: F401
     Word,
     excl_dupl,
     iter_bits,
+    preimage_masks,
     transformation_of,
 )
 from .gamma import GammaResult, SUCCESS
@@ -49,9 +50,7 @@ def _expand(trans: Transformation, p: int, allowed: int) -> int:
     every other state of p.  Raises ValueError when w excludes part of p or
     no duplicate state is allowed.
     """
-    pre = [0] * len(trans)
-    for q, image in enumerate(trans):
-        pre[image] |= 1 << q
+    pre = preimage_masks(trans)
     if any(not pre[r] for r in iter_bits(p)):
         raise ValueError("the word excludes part of the target set")
     dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
