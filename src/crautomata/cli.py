@@ -31,6 +31,7 @@ from .formats import (
     format_states,
     format_word,
     gamma_to_doc,
+    parse_decimal,
     parse_dfa,
     serialize_dfa,
 )
@@ -223,7 +224,7 @@ def _cmd_reach(args: argparse.Namespace) -> Report:
     dfa = _load_dfa(args.file)
     tokens = [tok.strip() for tok in args.subset.split(",")]
     try:
-        targets = [int(tok) for tok in tokens if tok]
+        targets = [parse_decimal(tok) for tok in tokens if tok]
     except ValueError:
         raise ValueError(
             f"--subset must be comma-separated integers, got '{args.subset}'"

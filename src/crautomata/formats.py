@@ -9,6 +9,7 @@ contain spaces.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Sequence
 
 from .automaton import Dfa, Word
@@ -27,6 +28,13 @@ def format_word(word: Word, alphabet: Sequence[str]) -> str:
 
 def format_states(states: Iterable[int]) -> str:
     return "{" + ", ".join(str(q) for q in sorted(states)) + "}"
+
+
+def parse_decimal(token: str) -> int:
+    """Read ``-?[0-9]+`` only; ``int`` also takes ``1_0``, ``+4``, non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def parse_dfa(text: str | bytes) -> Dfa:
@@ -53,7 +61,7 @@ def parse_dfa(text: str | bytes) -> Dfa:
     if len(tokens) != 2 or tokens[0] != "states":
         raise ValueError(f"line {lineno}: expected 'states <n>', got '{line}'")
     try:
-        n = int(tokens[1])
+        n = parse_decimal(tokens[1])
     except ValueError:
         raise ValueError(
             f"line {lineno}: state count '{tokens[1]}' is not an integer"
@@ -84,7 +92,7 @@ def parse_dfa(text: str | bytes) -> Dfa:
         row = []
         for token in tokens:
             try:
-                target = int(token)
+                target = parse_decimal(token)
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: transition entry '{token}' is not an integer"
