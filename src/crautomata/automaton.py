@@ -248,7 +248,7 @@ def preimage_masks(t: Sequence[int]) -> list[int]:
     return pre
 
 
-def transformation_signature(n: int, t: Transformation) -> ExclDuplPair:
+def transformation_signature(t: Transformation) -> ExclDuplPair:
     """The (excl, dupl) signature of an explicit transformation."""
     pre = preimage_masks(t)
     excl = StateSet(q for q, mask in enumerate(pre) if not mask)
@@ -263,7 +263,7 @@ def defect(dfa: Dfa, w: Sequence[int]) -> int:
 
 def excl_dupl(dfa: Dfa, w: Sequence[int]) -> ExclDuplPair:
     """States with zero preimages (excl) and at least two (dupl) under w."""
-    return transformation_signature(dfa.n, transformation_of(dfa, w))
+    return transformation_signature(transformation_of(dfa, w))
 
 
 def preimage_table(dfa: Dfa) -> tuple[tuple[int, ...], ...]:

@@ -74,6 +74,7 @@ class CanonicalWordSet:
             self._walk_next_defect()
 
     def _walk_next_defect(self) -> None:
+        """Keep the waiting words of the next defect, shortest length first."""
         n, m, pre = self._dfa.n, self._dfa.m, self._pre
         seen, waiting = self._seen, self._waiting
         defect = len(self._by_defect)

@@ -86,7 +86,7 @@ def test_signature_sets_match_monoid_oracle():
         for t in mon.elements:
             d = n - len(set(t))
             if d >= 1:
-                by_defect[d].add(transformation_signature(n, t).key())
+                by_defect[d].add(transformation_signature(t).key())
         for k in range(1, n):
             got = {(em, dm) for _, em, dm in cws.signatures_of_defect(k)}
             assert got == by_defect[k], (seed, k)

@@ -146,7 +146,7 @@ def test_reach_errors(tmp_path, capsys):
     source = write_dfa(tmp_path, fixed_example("e5"))
     assert run_cli(["reach", source, "--subset", "0,zebra"]) == 2
     assert "error:" in capsys.readouterr().err
-    # int() would read these as 1, 1 and 3; only -?[0-9]+ is accepted
+    # int() accepts each of these (0_1 as 1); only -?[0-9]+ is read
     for subset in ("0,0_1", "+1", "\u0663"):
         assert run_cli(["reach", source, "--subset", subset]) == 2
         assert "must be comma-separated integers" in capsys.readouterr().err

@@ -53,7 +53,7 @@ def test_parse_diagnostics_carry_line_numbers():
         ("states 2\nalphabet a\nq\n0\n", "line 3", "integer"),
         ("states 2\nalphabet a\n5\n0\n", "line 3", "out of range"),
         ("states 2\nalphabet a\n0\n1\n1\n", "line 5", "unexpected content"),
-        # int() would read these as 10, 2, 3 and 1; only -?[0-9]+ is accepted
+        # int() accepts each of these (1_0 as 10); only -?[0-9]+ is read
         ("states 1_0\nalphabet a\n0\n", "line 1", "integer"),
         ("states +2\nalphabet a\n0\n1\n", "line 1", "integer"),
         ("states \u0663\nalphabet a\n0\n1\n2\n", "line 1", "integer"),
