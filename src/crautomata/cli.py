@@ -57,6 +57,11 @@ from .witness import reach_word
 Report = tuple[int, dict[str, Any] | None, list[str]]
 
 
+def decimal(token: str) -> int:
+    """Option type for plain decimal integers; argparse names it in errors."""
+    return parse_decimal(token)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crautomata",
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
+    parser.add_argument("--seed", type=decimal, default=None, help="random seed")
     parser.add_argument(
         "--quiet", action="store_true", help="suppress output, keep exit codes"
     )
@@ -75,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "family", choices=("cerny", "e", "e5", "e12", "flipflop", "random")
     )
-    p.add_argument("--n", type=int, help="state count")
-    p.add_argument("--k", type=int, help="level parameter of the e family")
-    p.add_argument("--m", type=int, help="letter count for random automata")
+    p.add_argument("--n", type=decimal, help="state count")
+    p.add_argument("--k", type=decimal, help="level parameter of the e family")
+    p.add_argument("--m", type=decimal, help="letter count for random automata")
     p.add_argument(
         "--drop-last-b",
         action="store_true",
@@ -112,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--monoid", action="store_true", help="transition monoid size")
     p.add_argument(
         "--max-n",
-        type=int,
+        type=decimal,
         default=DEFAULT_MAX_STATES,
         help="state-count guard for the brute-force searches",
     )

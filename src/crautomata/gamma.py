@@ -142,8 +142,9 @@ def _build_level(
         src = owner[em.bit_length() - 1]
         if em & ~leaf[src]:
             continue
-        for dst, mask in enumerate(leaf):
-            if dst != src and mask & dm:
+        # Sorted, so edges enter ``forcing`` in cluster order.
+        for dst in sorted({owner[q] for q in iter_bits(dm)}):
+            if dst != src:
                 edge = (src, dst)
                 if edge not in forcing:
                     forcing[edge] = w

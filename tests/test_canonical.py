@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from itertools import product
 
 import pytest
@@ -9,7 +10,9 @@ from crautomata import (
     cerny,
     e_family,
     excl_dupl,
+    extend_excl_dupl,
     fixed_example,
+    preimage_table,
     random_dfa,
     transition_monoid,
 )
@@ -21,6 +24,39 @@ def grown_to(dfa, cap):
     cws = CanonicalWordSet(dfa)
     cws.grow(cap)
     return cws
+
+
+def shortlex_signatures(dfa, cap):
+    """Per defect up to cap, (word, excl, dupl) of each signature's least word.
+
+    A breadth-first search over words that extends each signature once,
+    through the per-state ``extend_excl_dupl``.  Children go on the queue in
+    letter order, so it stays in shortlex order, and the prefix of a least
+    word is least: the first word found with a signature is its least word.
+    """
+    table = preimage_table(dfa)
+    root = ExclDuplPair(StateSet(), StateSet())
+    by_defect = [[] for _ in range(cap + 1)]
+    seen = {root.key()}
+    queue = deque([((), root)])
+    while queue:
+        w, pair = queue.popleft()
+        by_defect[pair.defect].append((w, pair.excl.mask, pair.dupl.mask))
+        for a in range(dfa.m):
+            child = extend_excl_dupl(pair, dfa, a, table)
+            if child.defect <= cap and child.key() not in seen:
+                seen.add(child.key())
+                queue.append((w + (a,), child))
+    return by_defect
+
+
+def assert_matches_reference(dfa, cws, stride=1):
+    """Compare with the reference, and apply every stride-th kept word."""
+    cap = cws.defect_cap
+    got = [cws.signatures_of_defect(k) for k in range(cap + 1)]
+    assert got == shortlex_signatures(dfa, cap), (dfa, cap)
+    for w, pair in cws.entries[::stride]:
+        assert excl_dupl(dfa, w) == pair
 
 
 def test_e5_defect1_is_the_five_letters():
@@ -179,3 +215,66 @@ def test_xd_pairs_empty_and_top_state_never_duplicate():
         for _, _, dm in cws.signatures_of_defect(k):
             assert not dm >> 4 & 1
     assert len(cws.signatures_of_defect(4)) == 4
+
+
+def test_walk_matches_per_state_reference_across_chunks():
+    # The walk reads state sets eight states at a time; these automata have
+    # 9 to 65 states, so their sets span two to nine chunks.
+    cases = [(e_family(10, 9), 9), (fixed_example("e12"), 2)]
+    for n in (9, 12, 16, 17, 20):
+        for seed in range(2):
+            dfa = random_dfa(n, 2 + seed, 900 + seed)
+            cases += [(dfa, 1), (dfa, 2)]
+            # Random letters already have a large defect; go on to the
+            # first cap with a few hundred signatures.
+            cws = CanonicalWordSet(dfa)
+            cap = 1
+            while cap < n - 1 and len(cws) < 300:
+                cap += 1
+                cws.grow(cap)
+            cases.append((dfa, cap))
+    for dfa, cap in cases:
+        assert_matches_reference(dfa, grown_to(dfa, cap))
+    # cerny(65) has 65-bit masks.  Its 4161 words of defect 1 run to 191
+    # letters, and applying them all would take a second.
+    assert_matches_reference(cerny(65), grown_to(cerny(65), 1), stride=16)
+
+
+def _late_finds(dfa, cws):
+    """Signatures whose least word a later walk finds, by how the queue took it.
+
+    The walk of defect d runs after every lower defect's walk, so a child of
+    a lower-defect word waits before the least word's parent is walked.
+    "replace": a child of the same length waited; "move": only longer ones.
+    """
+    table = preimage_table(dfa)
+    least = {pair.key(): w for w, pair in cws.entries}
+    earliest = {}  # signature -> shortest child length from an earlier walk
+    for u, pair in cws.entries:
+        for a in range(dfa.m):
+            key = extend_excl_dupl(pair, dfa, a, table).key()
+            w = least.get(key)
+            if w is None or w == u + (a,):
+                continue
+            if excl_dupl(dfa, w[:-1]).defect > pair.defect:
+                earliest[key] = min(earliest.get(key, len(u) + 1), len(u) + 1)
+    return {
+        "replace": sum(1 for key, m in earliest.items() if m == len(least[key])),
+        "move": sum(1 for key, m in earliest.items() if m > len(least[key])),
+    }
+
+
+def test_queue_takes_a_later_walks_better_word():
+    # A signature waits once.  When a later walk finds a smaller word of the
+    # same length, the waiting word is replaced; when it finds a shorter
+    # word, the signature moves to that length.  These draws do both.
+    for seed in (2, 7, 54, 119):
+        dfa = random_dfa(4, 3, seed)
+        jumped = grown_to(dfa, 3)
+        finds = _late_finds(dfa, jumped)
+        assert finds["replace"] and finds["move"], (seed, finds)
+        assert_matches_reference(dfa, jumped)
+        stepped = CanonicalWordSet(dfa)
+        for cap in (1, 2, 3):
+            stepped.grow(cap)
+        assert stepped.entries == jumped.entries

@@ -68,6 +68,23 @@ def test_generate_random_seeded(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spelling", ["1_0", "+3", "٣", " 3", "3.0", ""])
+def test_numeric_options_read_plain_decimals_only(tmp_path, capsys, spelling):
+    c4 = write_dfa(tmp_path, cerny(4))
+    runs = [
+        (["generate", "cerny", "--n", spelling], "--n"),
+        (["generate", "e", "--n", "5", "--k", spelling], "--k"),
+        (["generate", "random", "--n", "5", "--m", spelling], "--m"),
+        (["--seed", spelling, "generate", "random", "--n", "5", "--m", "2"], "--seed"),
+        (["oracle", c4, "--max-n", spelling], "--max-n"),
+    ]
+    for argv, option in runs:
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: invalid decimal value: {spelling!r}" in captured.err
+
+
 def test_generate_missing_parameter(capsys):
     assert run_cli(["generate", "e", "--n", "5"]) == 2
     assert "--k" in capsys.readouterr().err
