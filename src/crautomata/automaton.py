@@ -77,25 +77,11 @@ class StateSet:
     def __hash__(self) -> int:
         return hash(self.mask)
 
-    def __or__(self, other: "StateSet") -> "StateSet":
-        return StateSet.from_mask(self.mask | other.mask)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        return StateSet.from_mask(self.mask & other.mask)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        return StateSet.from_mask(self.mask & ~other.mask)
-
     def issubset(self, other: "StateSet") -> bool:
         return self.mask & ~other.mask == 0
 
     def isdisjoint(self, other: "StateSet") -> bool:
         return self.mask & other.mask == 0
-
-    def min(self) -> int:
-        if not self.mask:
-            raise ValueError("min() of an empty StateSet")
-        return (self.mask & -self.mask).bit_length() - 1
 
     def __repr__(self) -> str:
         return f"StateSet({{{', '.join(str(q) for q in self)}}})"
@@ -274,38 +260,26 @@ def preimage_table(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(preimage_masks(column)) for column in zip(*dfa.delta))
 
 
-def extend_signature_masks(
-    pre_a: Sequence[int], excl_mask: int, dupl_mask: int, n: int
-) -> tuple[int, int]:
-    """Mask-level signature extension by one letter.
-
-    Given the signature (excl_mask, dupl_mask) of a word u and the preimage
-    masks of letter a, return the signature of ua: a state joins the new excl
-    when its whole a-preimage lies in excl(u); it joins the new dupl when its
-    a-preimage meets dupl(u) or keeps at least two survivors outside excl(u).
-    """
-    keep = ~excl_mask
-    new_excl = 0
-    new_dupl = 0
-    for q in range(n):
-        pm = pre_a[q]
-        alive = pm & keep
-        if alive == 0:
-            new_excl |= 1 << q
-        elif pm & dupl_mask or alive & (alive - 1):
-            new_dupl |= 1 << q
-    return new_excl, new_dupl
-
-
 def extend_excl_dupl(
     pair_u: ExclDuplPair, dfa: Dfa, a: int, table: Sequence[Sequence[int]]
 ) -> ExclDuplPair:
-    """Signature of ua from the signature of u alone (never consults u)."""
+    """Signature of ua from the signature of u alone (never consults u).
+
+    ``table`` is ``preimage_table(dfa)``.  A state joins the new excl when
+    its whole a-preimage lies in excl(u); it joins the new dupl when its
+    a-preimage meets dupl(u) or keeps at least two states outside excl(u).
+    """
     if not 0 <= a < dfa.m:
         raise ValueError(f"letter index {a} out of range 0..{dfa.m - 1}")
-    excl, dupl = extend_signature_masks(
-        table[a], pair_u.excl.mask, pair_u.dupl.mask, dfa.n
-    )
+    keep = ~pair_u.excl.mask
+    dupl_u = pair_u.dupl.mask
+    excl = dupl = 0
+    for q, pm in enumerate(table[a]):
+        alive = pm & keep
+        if alive == 0:
+            excl |= 1 << q
+        elif pm & dupl_u or alive & (alive - 1):
+            dupl |= 1 << q
     return ExclDuplPair(StateSet.from_mask(excl), StateSet.from_mask(dupl))
 
 

@@ -13,14 +13,15 @@ comes from a kept word of defect at most k one letter shorter, so the whole
 batch is waiting when its length is reached, and sorting it puts it in
 shortlex order.
 
-A signature waits at most once.  ``_best`` maps each signature, as the
-int ``excl << n | dupl``, to the least word found for it so far: the kept
-word once it has been walked, else the word that waits at that word's
-length.  A child is dropped when ``_best`` already holds a word no larger
-in shortlex order.  Otherwise the child replaces the waiting word: at the
-same length when it is smaller, or at its own shorter length when a lower
-defect's walk queued the signature further out.  A kept word is least with
-its signature, so nothing taken off the frontier needs a second look.
+``_best`` maps each signature, as the int ``excl << n | dupl``, to the
+least word found for it so far.  A child is queued at its own length unless
+``_best`` already holds a word for its signature that is shorter, or of the
+same length and smaller; a queued child becomes the signature's best word
+and overwrites any entry of that length.  When a lower defect's walk queued
+the signature further out, the child leaves that longer entry behind, and
+the entry is skipped when its batch comes up because it is no longer the
+signature's best word.  So a word taken off the frontier and not skipped is
+least with its signature.
 
 A child's signature comes from its parent's alone.  With alive = Q \\ excl,
 the child's excl is the complement of alive·a, and its dupl holds the
@@ -30,8 +31,8 @@ images are read eight states at a time: ``_memo[a]`` maps ``chunk << 8 |
 byte`` to the pair (image, states hit twice) under a of the states that
 the byte marks in that chunk, filled the first time a walk needs it.
 Across chunks a state is hit twice when two chunks both reach it.
-``automaton.extend_signature_masks`` is the per-state statement of the
-same rule.
+``automaton.extend_excl_dupl`` is the per-state statement of the same
+rule.
 
 Kept words are stored in one list per defect, filled by the one walk of
 that defect, already in shortlex order.
@@ -84,9 +85,12 @@ class CanonicalWordSet:
         self._best: dict[int, Word] = {0: ()}
         # _by_defect[k] holds the kept words of defect k in shortlex order.
         self._by_defect: list[list[_Entry]] = []
-        # _waiting[k][length] maps the signatures of defect k that wait at
-        # that length to their words.
-        self._waiting: dict[int, dict[int, dict[int, Word]]] = {0: {0: {0: ()}}}
+        # _waiting[k][length] maps signatures of defect k to the words queued
+        # for them at that length; an entry whose word is no longer in _best
+        # is stale.
+        self._waiting: dict[int, dict[int, dict[int, Word]]] = {
+            0: {0: dict(self._best)}
+        }
         self._walk_next_defect()
 
     @property
@@ -130,6 +134,8 @@ class CanonicalWordSet:
             buckets: dict[int, dict[int, Word]] = {}
             # Words of one length are distinct, so the tuple sort is by word.
             for w, key in sorted(zip(batch.values(), batch.keys())):
+                if best[key] is not w:  # left behind by a shorter word
+                    continue
                 em, dm = key >> n, key & full
                 kept.append((w, em, dm))
                 alive = _chunks(full ^ em)
@@ -150,16 +156,11 @@ class CanonicalWordSet:
                         twice |= hit[0]
                     ckey = (full ^ image) << n | twice
                     old = best.get(ckey)
-                    if old is not None:
-                        if len(old) < grown:
-                            continue
-                        child = w + (a,)
-                        if len(old) == grown and old < child:
-                            continue
-                        del waiting[n - image.bit_count()][len(old)][ckey]
-                    else:
-                        child = w + (a,)
-                    best[ckey] = child
+                    if old is not None and (
+                        len(old) < grown or len(old) == grown and old < w + (a,)
+                    ):
+                        continue
+                    child = best[ckey] = w + (a,)
                     child_defect = n - image.bit_count()
                     bucket = buckets.get(child_defect)
                     if bucket is None:

@@ -62,6 +62,17 @@ def decimal(token: str) -> int:
     return parse_decimal(token)
 
 
+# The generate options each family reads; giving it any other is an error.
+_FAMILY_OPTIONS = {
+    "cerny": ("n",),
+    "e": ("n", "k", "drop_last_b"),
+    "e5": (),
+    "e12": (),
+    "flipflop": (),
+    "random": ("n", "m"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crautomata",
@@ -77,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("generate", help="write an automaton from a builtin family")
-    p.add_argument(
-        "family", choices=("cerny", "e", "e5", "e12", "flipflop", "random")
-    )
+    p.add_argument("family", choices=tuple(_FAMILY_OPTIONS))
     p.add_argument("--n", type=decimal, help="state count")
     p.add_argument("--k", type=decimal, help="level parameter of the e family")
     p.add_argument("--m", type=decimal, help="letter count for random automata")
@@ -140,6 +149,10 @@ def _load_dfa(path: str) -> Dfa:
 
 def _cmd_generate(args: argparse.Namespace) -> Report:
     family = args.family
+    for name, unset in (("n", None), ("k", None), ("m", None), ("drop_last_b", False)):
+        if getattr(args, name) is not unset and name not in _FAMILY_OPTIONS[family]:
+            option = name.replace("_", "-")
+            raise ValueError(f"family '{family}' does not take --{option}")
 
     def need(name: str) -> int:
         value = getattr(args, name)

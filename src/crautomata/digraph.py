@@ -56,7 +56,7 @@ def strongly_connected_components(g: SimpleDigraph) -> ClusterPartition:
     adj = g.adjacency()
     order = [-1] * nv
     low = [0] * nv
-    on_stack = [False] * nv
+    # A visited vertex is on the stack exactly until its component is found.
     comp_of = [-1] * nv
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
@@ -65,41 +65,36 @@ def strongly_connected_components(g: SimpleDigraph) -> ClusterPartition:
     for root in range(nv):
         if order[root] != -1:
             continue
-        work = [(root, 0)]
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, next_child = work.pop()
-            if next_child == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = adj[v]
-            for i in range(next_child, len(neighbors)):
-                u = neighbors[i]
+            v, children = work[-1]
+            for u in children:
                 if order[u] == -1:
-                    work.append((v, i + 1))
-                    work.append((u, 0))
-                    descended = True
+                    order[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    work.append((u, iter(adj[u])))
                     break
-                if on_stack[u]:
+                if comp_of[u] == -1:
                     low[v] = min(low[v], order[u])
-            if descended:
-                continue
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp_of[u] = len(components)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comp.sort()
-                components.append(tuple(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        comp_of[u] = len(components)
+                        comp.append(u)
+                        if u == v:
+                            break
+                    comp.sort()
+                    components.append(tuple(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
 
     return ClusterPartition(tuple(comp_of), tuple(components))
 

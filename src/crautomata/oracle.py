@@ -27,7 +27,6 @@ DEFAULT_MAX_MONOID = 10**6
 class ReachMap:
     """Shortest (then shortlex-least) word from Q to each reachable subset."""
 
-    n: int
     words: dict[int, Word]
 
     def __len__(self) -> int:
@@ -41,7 +40,6 @@ class ReachMap:
 class Monoid:
     """Distinct word-induced transformations with shortlex-least witnesses."""
 
-    n: int
     elements: dict[Transformation, Word]
 
     def __len__(self) -> int:
@@ -71,7 +69,7 @@ def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachM
             if image not in words:
                 words[image] = w + (a,)
                 queue.append(image)
-    return ReachMap(dfa.n, words)
+    return ReachMap(words)
 
 
 def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -134,4 +132,4 @@ def transition_monoid(
         elements = {
             t: w for t, w in elements.items() if len(set(t)) < dfa.n
         }
-    return Monoid(dfa.n, elements)
+    return Monoid(elements)

@@ -90,6 +90,40 @@ def test_generate_missing_parameter(capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_generate_refuses_options_its_family_does_not_read(capsys):
+    values = {
+        "--n": ["--n", "5"],
+        "--k": ["--k", "4"],
+        "--m": ["--m", "2"],
+        "--drop-last-b": ["--drop-last-b"],
+    }
+    refused = {
+        "cerny": ["--k", "--m", "--drop-last-b"],
+        "e": ["--m"],
+        "random": ["--k", "--drop-last-b"],
+        "e5": list(values),
+        "e12": list(values),
+        "flipflop": list(values),
+    }
+    # What each family needs, so that only the extra option is wrong.
+    needs = {
+        "cerny": ["--n", "5"],
+        "e": ["--n", "5", "--k", "4"],
+        "random": ["--n", "5", "--m", "2"],
+    }
+    for family, options in refused.items():
+        for option in options:
+            argv = ["--seed", "1", "generate", family, *needs.get(family, [])]
+            assert run_cli([*argv, *values[option]]) == 2, (family, option)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: family '{family}' does not take {option}\n"
+    # A zero is given too, and the global --seed is left to the families.
+    assert run_cli(["generate", "e5", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: family 'e5' does not take --n\n"
+    assert run_cli(["--seed", "1", "generate", "e5"]) == 0
+
+
 def test_analyze_exit_codes(tmp_path, capsys):
     good = write_dfa(tmp_path, fixed_example("e5"), "good.txt")
     assert run_cli(["analyze", good]) == 0
