@@ -7,6 +7,9 @@ One sha256 per family covers, for every automaton of the family:
   n <= 6 and for the n sets {0, ..., j} above that;
 - the ``reset_word`` word and lengths, or its ``ValueError`` message.
 
+A second set of digests pins the canonical walk on automata larger than
+the corpus: every list ``signatures_of_defect`` returns up to a cap.
+
 A refactor must leave every digest unchanged.  A deliberate change of
 output (such as ROADMAP item 1, shorter reach words) updates the digests
 here and lists the changed families in ``CHANGES.md``.
@@ -29,6 +32,7 @@ from crautomata import (
     reset_word,
     unreachable_witness,
 )
+from crautomata.canonical import CanonicalWordSet
 
 
 def _corpus(family):
@@ -90,3 +94,43 @@ GOLDEN = {
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_golden_digest(family):
     assert _digest(family) == GOLDEN[family]
+
+
+# name -> (automaton, defect cap, digest of the per-defect lists).  cerny(65)
+# spans nine 8-state chunks and its defect-1 words run to 191 letters;
+# random_dfa(16, 2, 102) is a rare draw with a thousand signatures by
+# defect 3.
+WALKS = {
+    "e_family(12, 11)": (
+        lambda: e_family(12, 11),
+        11,
+        "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+    ),
+    "e_family(12, 11, drop_last_b)": (
+        lambda: e_family(12, 11, drop_last_b=True),
+        11,
+        "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+    ),
+    "cerny(65)": (
+        lambda: cerny(65),
+        1,
+        "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+    ),
+    "random_dfa(16, 2, 102)": (
+        lambda: random_dfa(16, 2, 102),
+        3,
+        "a6206f689019c094f19339e77ae2aa7c5adc023737ebe4c8763108553ddf14de",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_canonical_walk_digest(name):
+    make, cap, digest = WALKS[name]
+    cws = CanonicalWordSet(make())
+    cws.grow(cap)
+    h = hashlib.sha256()
+    for k in range(cap + 1):
+        h.update(repr(cws.signatures_of_defect(k)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == digest
