@@ -6,31 +6,38 @@ depends only on the signature of what it extends), so the canonical words
 form a tree, walked here from the empty word.  A word whose signature has
 been seen before is rejected together with its whole subtree.
 
-Defect never decreases along extensions, so the walk goes one defect at a
-time.  Raising the cap to k walks only the defect-k words that wait in the
-frontier, shortest length first: every defect-k word of a given length
-comes from a kept word of defect at most k one letter shorter, so the whole
-batch is waiting when its length is reached, and sorting it puts it in
-shortlex order.
+Words over m letters are ranked by an integer code: a1 ... aL has code
+(a1 + 1)·m^(L-1) + ... + (aL + 1), its bijective base-m numeral, so
+numeric order on codes is shortlex order and the child w·a has code
+code(w)·m + a + 1.  ``_best`` maps each signature, as the int
+``excl << n | dupl``, to the code of the least word found for it so far.  A
+child is dropped when ``_best`` holds a smaller code; otherwise it becomes
+the signature's best word and waits.
 
-``_best`` maps each signature, as the int ``excl << n | dupl``, to the
-least word found for it so far.  A child is queued at its own length unless
-``_best`` already holds a word for its signature that is shorter, or of the
-same length and smaller; a queued child becomes the signature's best word
-and overwrites any entry of that length.  When a lower defect's walk queued
-the signature further out, the child leaves that longer entry behind, and
-the entry is skipped when its batch comes up because it is no longer the
-signature's best word.  So a word taken off the frontier and not skipped is
-least with its signature.
+Defect never decreases along extensions, so the walk goes one defect at a
+time.  The words of defect k wait in one heap, ``_waiting[k]``, as
+(code, signature, parent word, (letter,)); raising the cap to k pops that
+heap until it is empty, pushing children of defect k onto it as it goes.  A
+child's code is larger than its parent's, so the pops come in shortlex
+order.  A later walk, of a higher defect than the walk that queued a
+signature, can find a smaller code for it; the older entry is then skipped
+when popped, because its code is no longer the signature's best.  So an
+entry popped and not skipped holds the least word with its signature.
+Each word waits at most once, so the codes in a heap are distinct and the
+heap never compares the words.
 
 A child's signature comes from its parent's alone.  With alive = Q \\ excl,
 the child's excl is the complement of alive·a, and its dupl holds the
 states hit twice from alive plus the image of dupl (dupl lies inside
 alive, so "the a-preimage of q meets dupl" is "q lies in dupl·a").  Both
-images are read eight states at a time: ``_memo[a]`` maps ``chunk << 8 |
-byte`` to the pair (image, states hit twice) under a of the states that
-the byte marks in that chunk, filled the first time a walk needs it.
-Across chunks a state is hit twice when two chunks both reach it.
+images are read eight states at a time and for every letter at once:
+letter a owns the 2n bits from a·2n on, and ``_memo`` maps ``chunk << 8 |
+byte`` to the pair (image, states hit twice) of the states that the byte
+marks in that chunk, with letter a's images in the high n bits of its
+field; an entry is filled the first time a walk needs it.  Across chunks a
+state is hit twice when two chunks both reach it.  Then ``(_high ^ image)
+| twice >> n``, with ``_high`` all ones in every high half, holds letter
+a's child signature ``excl << n | dupl`` in its field.
 ``automaton.extend_excl_dupl`` is the per-state statement of the same
 rule.
 
@@ -40,6 +47,9 @@ that defect, already in shortlex order.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from heapq import heappop, heappush
+
 from .automaton import Dfa, ExclDuplPair, StateSet, Word, shortlex_key
 
 # (word, excl mask, dupl mask)
@@ -47,50 +57,56 @@ _Entry = tuple[Word, int, int]
 
 
 def _chunk_image(
-    delta: tuple[tuple[int, ...], ...], a: int, cb: int
+    delta: tuple[tuple[int, ...], ...], fields: range, cb: int
 ) -> tuple[int, int]:
-    """(image, states hit twice) under a of the states that ``cb`` marks."""
-    image = twice = 0
+    """(image, states hit twice) of the states that ``cb`` marks, all letters.
+
+    Letter a's image of state p is bit ``delta[p][a] + fields[a]``.
+    """
+    rows = []
     byte, p = cb & 255, (cb >> 8) << 3
     while byte:
         if byte & 1:
-            t = 1 << delta[p][a]
-            twice |= image & t
-            image |= t
+            rows.append(delta[p])
         byte >>= 1
         p += 1
+    image = twice = 0
+    for a, f in enumerate(fields):
+        im = tw = 0
+        for row in rows:
+            bit = 1 << row[a]
+            tw |= im & bit
+            im |= bit
+        image |= im << f
+        twice |= tw << f
     return image, twice
-
-
-def _chunks(mask: int) -> list[int]:
-    """``chunk << 8 | byte`` for each non-zero byte of ``mask``."""
-    out = []
-    c = 0
-    while mask:
-        if mask & 255:
-            out.append(c | mask & 255)
-        mask >>= 8
-        c += 256
-    return out
 
 
 class CanonicalWordSet:
     """Shortlex-least witnesses for every realizable signature up to a defect cap."""
 
     def __init__(self, dfa: Dfa):
-        self._n = dfa.n
+        n, m = dfa.n, dfa.m
+        width = 2 * n
+        self._n = n
         self._delta = dfa.delta
-        self._memo: list[dict[int, tuple[int, int]]] = [{} for _ in range(dfa.m)]
-        # _best[excl << n | dupl] is the least word found with that signature.
-        self._best: dict[int, Word] = {0: ()}
+        # Letter a's images sit at bits fields[a] = a·2n + n and up.
+        self._fields = range(n, n + m * width, width)
+        # Every field's high half set: that half's mask times the m-digit
+        # repunit in base 2**width.
+        self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
+        self._memo: dict[int, tuple[int, int]] = {}
+        self._letters = [(a,) for a in range(m)]
+        # _best[excl << n | dupl] is the code of the least word found with
+        # that signature.
+        self._best: dict[int, int] = {0: 0}
         # _by_defect[k] holds the kept words of defect k in shortlex order.
         self._by_defect: list[list[_Entry]] = []
-        # _waiting[k][length] maps signatures of defect k to the words queued
-        # for them at that length; an entry whose word is no longer in _best
-        # is stale.
-        self._waiting: dict[int, dict[int, dict[int, Word]]] = {
-            0: {0: dict(self._best)}
-        }
+        # _waiting[k] is the heap of (code, signature, parent word, (letter,))
+        # of the words of defect k; an entry whose code is not the
+        # signature's in _best is stale.
+        self._waiting: dict[int, list[tuple[int, int, Word, Word]]]
+        self._waiting = defaultdict(list, {0: [(0, 0, (), ())]})
         self._walk_next_defect()
 
     @property
@@ -118,56 +134,60 @@ class CanonicalWordSet:
             self._walk_next_defect()
 
     def _walk_next_defect(self) -> None:
-        """Keep the waiting words of the next defect, shortest length first."""
-        n, delta, memos = self._n, self._delta, self._memo
-        best, waiting = self._best, self._waiting
-        full = (1 << n) - 1
-        defect = len(self._by_defect)
+        """Keep the waiting words of the next defect, in shortlex order."""
         kept: list[_Entry] = []
+        heap = self._waiting[len(self._by_defect)]
         self._by_defect.append(kept)
-        by_length = waiting.setdefault(defect, {})
-        while by_length:
-            length = min(by_length)
-            batch = by_length.pop(length)
-            grown = length + 1
-            # buckets[k] is waiting[k][grown], looked up once per batch.
-            buckets: dict[int, dict[int, Word]] = {}
-            # Words of one length are distinct, so the tuple sort is by word.
-            for w, key in sorted(zip(batch.values(), batch.keys())):
-                if best[key] is not w:  # left behind by a shorter word
-                    continue
-                em, dm = key >> n, key & full
-                kept.append((w, em, dm))
-                alive = _chunks(full ^ em)
-                dupl = _chunks(dm)
-                for a, memo in enumerate(memos):
-                    image = twice = 0
-                    for cb in alive:
+        if not heap:  # skip the set-up: most small random automata stop here
+            return
+        n, delta, fields, memo = self._n, self._delta, self._fields, self._memo
+        best, waiting, letters = self._best, self._waiting, self._letters
+        high = self._high
+        full = (1 << n) - 1
+        width = 2 * n
+        field = (1 << width) - 1
+        m = len(letters)
+        nbytes = (n + 7) >> 3
+        chunks = range(0, nbytes << 8, 256)
+        while heap:
+            code, key, parent, a = heappop(heap)
+            if best[key] != code:  # left behind by a smaller word
+                continue
+            w = parent + a
+            em, dm = key >> n, key & full
+            kept.append((w, em, dm))
+            image = twice = 0
+            # dupl lies inside alive, so a chunk without alive states has no
+            # dupl states either.
+            for c, alive, dupl in zip(
+                chunks,
+                (full ^ em).to_bytes(nbytes, "little"),
+                dm.to_bytes(nbytes, "little"),
+            ):
+                if alive:
+                    cb = c | alive
+                    hit = memo.get(cb)
+                    if hit is None:
+                        hit = memo[cb] = _chunk_image(delta, fields, cb)
+                    i, t = hit
+                    twice |= t | (image & i)
+                    image |= i
+                    if dupl:
+                        cb = c | dupl
                         hit = memo.get(cb)
                         if hit is None:
-                            hit = memo[cb] = _chunk_image(delta, a, cb)
-                        i, t = hit
-                        twice |= t | (image & i)
-                        image |= i
-                    for cb in dupl:
-                        hit = memo.get(cb)
-                        if hit is None:
-                            hit = memo[cb] = _chunk_image(delta, a, cb)
+                            hit = memo[cb] = _chunk_image(delta, fields, cb)
                         twice |= hit[0]
-                    ckey = (full ^ image) << n | twice
-                    old = best.get(ckey)
-                    if old is not None and (
-                        len(old) < grown or len(old) == grown and old < w + (a,)
-                    ):
-                        continue
-                    child = best[ckey] = w + (a,)
-                    child_defect = n - image.bit_count()
-                    bucket = buckets.get(child_defect)
-                    if bucket is None:
-                        queue = waiting.setdefault(child_defect, {})
-                        bucket = buckets[child_defect] = queue.setdefault(grown, {})
-                    bucket[ckey] = child
-        del waiting[defect]
+            keys = (high ^ image) | (twice >> n)
+            ccode = code * m
+            for letter in letters:
+                ccode += 1
+                ckey = keys & field
+                keys >>= width
+                if best.get(ckey, ccode) < ccode:
+                    continue
+                best[ckey] = ccode
+                heappush(waiting[(ckey >> n).bit_count()], (ccode, ckey, w, letter))
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
         """Raw (word, excl mask, dupl mask) triples of defect exactly k.

@@ -160,16 +160,31 @@ def _cmd_generate(args: argparse.Namespace) -> Report:
             raise ValueError(f"family '{family}' requires --{name}")
         return value
 
+    # The generators check these ranges too, but name their own parameters.
     if family == "cerny":
-        dfa = cerny(need("n"))
+        n = need("n")
+        if n < 2:
+            raise ValueError(f"family 'cerny' requires --n >= 2, got --n {n}")
+        dfa = cerny(n)
     elif family == "e":
-        dfa = e_family(need("n"), need("k"), drop_last_b=args.drop_last_b)
+        n, k = need("n"), need("k")
+        got = f"got --n {n} --k {k}"
+        if not 2 <= k < n:
+            raise ValueError(f"family 'e' requires 2 <= --k < --n, {got}")
+        if args.drop_last_b and k != n - 1:
+            raise ValueError(f"--drop-last-b requires --k = --n - 1, {got}")
+        dfa = e_family(n, k, drop_last_b=args.drop_last_b)
     elif family == "random":
         if args.seed is None:
             raise ValueError("family 'random' requires --seed")
         if args.seed < 0:
             raise ValueError("--seed must be non-negative")
-        dfa = random_dfa(need("n"), need("m"), args.seed)
+        n, m = need("n"), need("m")
+        if n < 1 or m < 1:
+            raise ValueError(
+                f"family 'random' requires --n >= 1 and --m >= 1, got --n {n} --m {m}"
+            )
+        dfa = random_dfa(n, m, args.seed)
     else:
         dfa = fixed_example(family)
 

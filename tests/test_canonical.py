@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from crautomata import (
+    Dfa,
     ExclDuplPair,
     StateSet,
     cerny,
@@ -202,8 +203,6 @@ def test_xd_pairs_fixtures():
 
 def test_xd_pairs_empty_and_top_state_never_duplicate():
     # permutation automata have no positive-defect words at all
-    from crautomata import Dfa
-
     rot = Dfa(3, ("a",), ((1,), (2,), (0,)))
     cws = grown_to(rot, 2)
     assert cws.signatures_of_defect(1) == [] and cws.signatures_of_defect(2) == []
@@ -240,8 +239,34 @@ def test_walk_matches_per_state_reference_across_chunks():
     assert_matches_reference(cerny(65), grown_to(cerny(65), 1), stride=16)
 
 
+def test_walk_matches_per_state_reference_on_wide_and_unary_alphabets():
+    # The walk packs one field per letter into each chunk's memo entry and
+    # ranks words by their bijective base-m numeral.  With 260 letters there
+    # are more than 256 fields, and letter 259's digit, 260, needs more than
+    # a byte: a byte per letter would rank (a, 259) after (a + 1, 0).
+    n, m = 5, 260
+    rotate = tuple((p + 1) % n for p in range(n))
+    swap = (1, 0, *range(2, n))
+    merge = (0, 0, *range(2, n))
+    letters = [rotate, swap] + [tuple(range(n))] * (m - 3) + [merge]
+    delta = tuple(tuple(images[p] for images in letters) for p in range(n))
+    wide = Dfa(n, tuple(f"x{a}" for a in range(m)), delta)
+    cws = grown_to(wide, n - 1)
+    assert_matches_reference(wide, cws)
+    assert any(259 in w for w, _ in cws.entries)
+    # With one letter a word's numeral is its length.
+    unary = [random_dfa(n, 1, 300 + n) for n in range(1, 21)]
+    # A tail 6 -> 7 -> 8 -> 0 into the cycle 0 -> 1 -> ... -> 5 -> 0.
+    tail = tuple(((p + 1) % (6 if p < 6 else 9),) for p in range(9))
+    unary.append(Dfa(9, ("a",), tail))
+    for dfa in unary:
+        cws = grown_to(dfa, dfa.n - 1)
+        assert_matches_reference(dfa, cws)
+        assert [w for w, _ in cws.entries] == [(0,) * i for i in range(len(cws))]
+
+
 def _late_finds(dfa, cws):
-    """Signatures whose least word a later walk finds, by how the queue took it.
+    """Signatures whose least word a later walk finds, by the word it beat.
 
     The walk of defect d runs after every lower defect's walk, so a child of
     a lower-defect word waits before the least word's parent is walked.
@@ -265,9 +290,9 @@ def _late_finds(dfa, cws):
 
 
 def test_queue_takes_a_later_walks_better_word():
-    # A signature waits once.  When a later walk finds a smaller word of the
-    # same length, the waiting word is replaced; when it finds a shorter
-    # word, the signature moves to that length.  These draws do both.
+    # When a later walk finds a smaller word for a signature that waits, the
+    # waiting entry is left behind, whether its word had the same length or
+    # was longer.  These draws do both.
     for seed in (2, 7, 54, 119):
         dfa = random_dfa(4, 3, seed)
         jumped = grown_to(dfa, 3)

@@ -124,6 +124,47 @@ def test_generate_refuses_options_its_family_does_not_read(capsys):
     assert run_cli(["--seed", "1", "generate", "e5"]) == 0
 
 
+def test_generate_range_errors_name_the_options(capsys):
+    # The generators' own messages name their parameters; the CLI names the
+    # options the user typed.
+    cases = [
+        (
+            ["generate", "cerny", "--n", "1"],
+            "family 'cerny' requires --n >= 2, got --n 1",
+        ),
+        (
+            ["generate", "e", "--n", "2", "--k", "2"],
+            "family 'e' requires 2 <= --k < --n, got --n 2 --k 2",
+        ),
+        (
+            ["generate", "e", "--n", "5", "--k", "1"],
+            "family 'e' requires 2 <= --k < --n, got --n 5 --k 1",
+        ),
+        (
+            ["generate", "e", "--n", "4", "--k", "2", "--drop-last-b"],
+            "--drop-last-b requires --k = --n - 1, got --n 4 --k 2",
+        ),
+        (
+            ["--seed", "1", "generate", "random", "--n", "0", "--m", "2"],
+            "family 'random' requires --n >= 1 and --m >= 1, got --n 0 --m 2",
+        ),
+        (
+            ["--seed", "1", "generate", "random", "--n", "3", "--m", "0"],
+            "family 'random' requires --n >= 1 and --m >= 1, got --n 3 --m 0",
+        ),
+    ]
+    for argv, message in cases:
+        assert run_cli(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    # The smallest members of each range are accepted.
+    assert run_cli(["generate", "cerny", "--n", "2"]) == 0
+    assert run_cli(["generate", "e", "--n", "3", "--k", "2", "--drop-last-b"]) == 0
+    assert run_cli(["--seed", "1", "generate", "random", "--n", "1", "--m", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_analyze_exit_codes(tmp_path, capsys):
     good = write_dfa(tmp_path, fixed_example("e5"), "good.txt")
     assert run_cli(["analyze", good]) == 0
