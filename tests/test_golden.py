@@ -7,8 +7,13 @@ One sha256 per family covers, for every automaton of the family:
   n <= 6 and for the n sets {0, ..., j} above that;
 - the ``reset_word`` word and lengths, or its ``ValueError`` message.
 
-A second set of digests pins the canonical walk on automata larger than
-the corpus: every list ``signatures_of_defect`` returns up to a cap.
+Every hashed reach word is checked by applying it to the full state set.
+
+Two more sets of digests pin automata larger than the corpus: the canonical
+walk, as every list ``signatures_of_defect`` returns up to a cap, and the
+hierarchy, as ``gamma_to_doc`` plus each level's vertices and ``forcing``
+items in insertion order, with reach words for the n prefix sets and the n
+singletons.
 
 A refactor must leave every digest unchanged.  A deliberate change of
 output (such as ROADMAP item 1, shorter reach words) updates the digests
@@ -22,6 +27,7 @@ import pytest
 
 from crautomata import (
     StateSet,
+    apply_word,
     build_gamma,
     cerny,
     e_family,
@@ -55,15 +61,20 @@ def _targets(n):
     return [(1 << (j + 1)) - 1 for j in range(n)]
 
 
+def _reach_records(dfa, result, masks):
+    for mask in masks:
+        word, steps = reach_word(dfa, result, StateSet.from_mask(mask))
+        assert apply_word(dfa, StateSet.full(dfa.n), word).mask == mask
+        yield repr((mask, word))
+        for s in steps:
+            yield repr((s.level, s.edge, s.word, s.source.mask, s.target.mask))
+
+
 def _records(dfa):
     result = build_gamma(dfa)
     yield json.dumps(gamma_to_doc(result, dfa), sort_keys=True)
     if result.success:
-        for mask in _targets(dfa.n):
-            word, steps = reach_word(dfa, result, StateSet.from_mask(mask))
-            yield repr((mask, word))
-            for s in steps:
-                yield repr((s.level, s.edge, s.word, s.source.mask, s.target.mask))
+        yield from _reach_records(dfa, result, _targets(dfa.n))
     else:
         yield repr(unreachable_witness(result, dfa).mask)
     try:
@@ -134,3 +145,53 @@ def test_canonical_walk_digest(name):
         h.update(repr(cws.signatures_of_defect(k)).encode())
         h.update(b"\n")
     assert h.hexdigest() == digest
+
+
+# name -> (automaton, digest).  Deeper hierarchies than the corpus holds:
+# e_family(12, 11) succeeds and its drop_last_b twin fails at step 11,
+# e_family(10, 5) has five levels, and cerny(33) spans five 8-state chunks.
+HIERARCHIES = {
+    "e_family(12, 11)": (
+        lambda: e_family(12, 11),
+        "c86af1e839ad0e30f11b5b35669769bc63279a58f5c7d6ea83ef2c6b67a167c9",
+    ),
+    "e_family(12, 11, drop_last_b)": (
+        lambda: e_family(12, 11, drop_last_b=True),
+        "1bfdabeb5092340ac89ed0302ea43f1f909e45ca1f5365e7c6407e5b8f6b3804",
+    ),
+    "e_family(9, 4)": (
+        lambda: e_family(9, 4),
+        "f46f7e9712105ec9b4910091f65f6a87d0c653dc10de87f5766ffff22fe1d4eb",
+    ),
+    "e_family(10, 5)": (
+        lambda: e_family(10, 5),
+        "bf72ca3c95eb43a98bd7f06651e75d0c10e2e34a6630cc6bb470bfd5a8ac7b8b",
+    ),
+    "cerny(33)": (
+        lambda: cerny(33),
+        "2d67012e2ee431a0ab8f6b808fe9666c7a74cf3c0fbb7a35f8e2337d387be01f",
+    ),
+}
+
+
+def _hierarchy_digest(dfa):
+    result = build_gamma(dfa)
+    records = [json.dumps(gamma_to_doc(result, dfa), sort_keys=True)]
+    records += [repr((lv.vertices, list(lv.forcing.items()))) for lv in result.levels]
+    if result.success:
+        n = dfa.n
+        masks = [(1 << (j + 1)) - 1 for j in range(n)] + [1 << q for q in range(n)]
+        records += _reach_records(dfa, result, masks)
+    else:
+        records.append(repr(unreachable_witness(result, dfa).mask))
+    h = hashlib.sha256()
+    for record in records:
+        h.update(record.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHIES))
+def test_hierarchy_digest(name):
+    make, digest = HIERARCHIES[name]
+    assert _hierarchy_digest(make()) == digest
