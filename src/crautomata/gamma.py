@@ -1,6 +1,6 @@
 """The level-graph hierarchy and the complete-reachability decision.
 
-One builder makes every level.  The level-k graph has the forest's level-k
+One loop makes every level.  The level-k graph has the forest's level-k
 nodes as vertices; its edges are the condensation of level k-1 plus the
 edges forced by the (excluded, duplicate) signatures of defect-k words.
 Level 1 is the case with no previous level: its nodes are the single states
@@ -14,6 +14,7 @@ the forest's top level, which holds the terminal level's clusters.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .automaton import Dfa, StateSet, Word, iter_bits
@@ -27,21 +28,22 @@ FAILURE = "FAILURE"
 class ClusterForest:
     """Layered containment forest over the original states.
 
-    Nodes get dense ids in creation order; level 1 holds one node per state
-    (node id = state index).  Each higher-level node owns a group of nodes of
-    the level below; its leafage is the disjoint union of theirs, and within
-    every level the leafages partition the state set.
+    Nodes get dense ids in creation order, one level at a time, so each level
+    is a range of ids: level k holds ``_starts[k-1]`` to ``_starts[k] - 1``.
+    Level 1 holds one node per state (node id = state index).  Each
+    higher-level node owns a group of nodes of the level below; its leafage is
+    the disjoint union of theirs, and within every level the leafages
+    partition the state set.
     """
 
     def __init__(self, n: int):
-        self._levels: list[list[int]] = [list(range(n))]
+        self._starts: list[int] = [0, n]
         self._parent: list[int | None] = [None] * n
-        self._level_of: list[int] = [1] * n
         self._leafage: list[int] = [1 << q for q in range(n)]
 
     @property
     def level_count(self) -> int:
-        return len(self._levels)
+        return len(self._starts) - 1
 
     @property
     def node_count(self) -> int:
@@ -50,13 +52,14 @@ class ClusterForest:
     def level_nodes(self, level: int) -> list[int]:
         if not 1 <= level <= self.level_count:
             raise ValueError(f"no level {level} in a forest of {self.level_count}")
-        return list(self._levels[level - 1])
+        return list(range(self._starts[level - 1], self._starts[level]))
 
     def parent_of(self, node: int) -> int | None:
         return self._parent[node]
 
     def level_of(self, node: int) -> int:
-        return self._level_of[node]
+        # Indexing the range checks the id as the other accessors' lists do.
+        return bisect_right(self._starts, range(self.node_count)[node])
 
     def leafage_mask(self, node: int) -> int:
         return self._leafage[node]
@@ -66,12 +69,9 @@ class ClusterForest:
 
     def add_level(self, groups: list[list[int]]) -> list[int]:
         """Append a level whose nodes own the given groups of current top nodes."""
-        top = self._levels[-1]
         grouped = [node for group in groups for node in group]
-        if sorted(grouped) != sorted(top):
+        if sorted(grouped) != list(range(self._starts[-2], self._starts[-1])):
             raise ValueError("groups must partition the current top level")
-        new_ids = []
-        level = self.level_count + 1
         for group in groups:
             nid = len(self._parent)
             mask = 0
@@ -79,11 +79,9 @@ class ClusterForest:
                 self._parent[member] = nid
                 mask |= self._leafage[member]
             self._parent.append(None)
-            self._level_of.append(level)
             self._leafage.append(mask)
-            new_ids.append(nid)
-        self._levels.append(new_ids)
-        return new_ids
+        self._starts.append(len(self._parent))
+        return self.level_nodes(self.level_count)
 
 
 @dataclass(frozen=True)
@@ -115,76 +113,57 @@ class GammaResult:
         return self.outcome == SUCCESS
 
 
-def _build_level(
-    forest: ClusterForest,
-    k: int,
-    entries: list[tuple[Word, int, int]],
-    inherited: frozenset[tuple[int, int]],
-) -> GammaLevel:
-    """The level-k graph on the forest's level-k nodes.
-
-    ``inherited`` is the condensation of the previous level (empty at level
-    1, whose nodes are the single states).  For each defect-k signature
-    (X, D): X fits inside the leafage of at most one cluster (leafages
-    partition the states), and when it does, an edge runs from that cluster
-    to every other cluster whose leafage meets D.  One signature may force
-    several edges.
-    """
-    vertices = forest.level_nodes(k)
-    leaf = [forest.leafage_mask(nid) for nid in vertices]
-    owner = {}
-    for pos, mask in enumerate(leaf):
-        for q in iter_bits(mask):
-            owner[q] = pos
-
-    forcing: dict[tuple[int, int], Word] = {}
-    for w, em, dm in entries:
-        src = owner[em.bit_length() - 1]
-        if em & ~leaf[src]:
-            continue
-        # Sorted, so edges enter ``forcing`` in cluster order.
-        for dst in sorted({owner[q] for q in iter_bits(dm)}):
-            if dst != src:
-                edge = (src, dst)
-                if edge not in forcing:
-                    forcing[edge] = w
-
-    graph = SimpleDigraph(len(vertices), inherited | set(forcing))
-    return GammaLevel(k, tuple(vertices), graph, forcing, inherited)
-
-
 def build_gamma(dfa: Dfa) -> GammaResult:
     """Run the hierarchy until SUCCESS or FAILURE.
 
     Canonical words are grown one defect level at a time, resuming the
-    enumeration frontier rather than restarting it.  Levels with no fresh
-    edges and no condensation progress are simply iterated past; the leafage
-    test bounds the number of steps by n-1.
+    enumeration frontier rather than restarting it.  For each defect-k
+    signature (X, D): X fits inside the leafage of at most one cluster
+    (leafages partition the states), and when it does, an edge is forced
+    from that cluster to every other cluster whose leafage meets D; one
+    signature may force several edges.  New forest node i is SCC cluster i,
+    so the cluster ids carry ``owner`` (state -> level-k vertex) and the
+    condensation up one level.  Levels with no fresh edges and no
+    condensation progress are simply iterated past; the leafage test bounds
+    the number of steps by n-1.
     """
     n = dfa.n
     forest = ClusterForest(n)
     cws = CanonicalWordSet(dfa)
     levels: list[GammaLevel] = []
     inherited: frozenset[tuple[int, int]] = frozenset()
+    owner = list(range(n))
     k = 1
     while True:
         cws.grow(k)
-        level = _build_level(forest, k, cws.signatures_of_defect(k), inherited)
-        levels.append(level)
-        part = strongly_connected_components(level.graph)
-        groups = [
-            [level.vertices[v] for v in cluster] for cluster in part.clusters
-        ]
-        new_nodes = forest.add_level(groups)
+        vertices = forest.level_nodes(k)
+        leaf = [forest.leafage_mask(nid) for nid in vertices]
+        forcing: dict[tuple[int, int], Word] = {}
+        for w, em, dm in cws.signatures_of_defect(k):
+            src = owner[em.bit_length() - 1]
+            if em & ~leaf[src]:
+                continue
+            # Sorted, so edges enter ``forcing`` in cluster order.
+            for dst in sorted({owner[q] for q in iter_bits(dm)}):
+                if dst != src:
+                    edge = (src, dst)
+                    if edge not in forcing:
+                        forcing[edge] = w
+        graph = SimpleDigraph(len(vertices), inherited | set(forcing))
+        levels.append(GammaLevel(k, tuple(vertices), graph, forcing, inherited))
+        part = strongly_connected_components(graph)
+        new_nodes = forest.add_level(
+            [[vertices[v] for v in cluster] for cluster in part.clusters]
+        )
         if len(part.clusters) == 1:
             return GammaResult(SUCCESS, k, tuple(levels), forest)
         if all(forest.leafage_mask(nid).bit_count() <= k for nid in new_nodes):
             return GammaResult(FAILURE, k, tuple(levels), forest)
-        # New node i is cluster i, so cluster ids are the next level's vertices.
         cid = part.cluster_id
         inherited = frozenset(
-            (cid[s], cid[t]) for s, t in level.graph.edges if cid[s] != cid[t]
+            (cid[s], cid[t]) for s, t in graph.edges if cid[s] != cid[t]
         )
+        owner = [cid[v] for v in owner]
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")

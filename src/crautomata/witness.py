@@ -8,8 +8,9 @@ the full w-preimage of one duplicate state plus one chosen preimage of every
 other target state.  Each round reads the duplicate states and that larger
 set off the preimage masks of w's transformation.  Rounds repeat until the
 larger set is Q; the final word is the concatenation of the step words,
-outermost round first.  One call reads each level's leafage masks once and
-applies each distinct word once, however many rounds use it.
+outermost round first.  One call reads each level's leafage masks and sorts
+its edges once, and builds each distinct word's preimage masks once,
+however many rounds use it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
-    Transformation,
     Word,
     excl_dupl,
     iter_bits,
@@ -42,15 +42,14 @@ class ReachStep:
     target: StateSet
 
 
-def _expand(trans: Transformation, p: int, allowed: int) -> int:
-    """The mask of R with R . w = p, where ``trans`` is the transformation of w.
+def _expand(pre: list[int], p: int, allowed: int) -> int:
+    """The mask of R with R . w = p, where ``pre`` is w's preimage masks.
 
     The duplicate state is the smallest duplicate of w in ``p & allowed``.
     R is its full preimage together with the smallest-index preimage of
     every other state of p.  Raises ValueError when w excludes part of p or
     no duplicate state is allowed.
     """
-    pre = preimage_masks(trans)
     if any(not pre[r] for r in iter_bits(p)):
         raise ValueError("the word excludes part of the target set")
     dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
@@ -74,7 +73,8 @@ def expand_step(dfa: Dfa, p: StateSet, w: Word, dup_state: int) -> StateSet:
     if p.mask >> dfa.n:
         raise ValueError("target set contains states outside the automaton")
     allowed = 1 << dup_state if dup_state in p else 0
-    return StateSet.from_mask(_expand(transformation_of(dfa, w), p.mask, allowed))
+    pre = preimage_masks(transformation_of(dfa, w))
+    return StateSet.from_mask(_expand(pre, p.mask, allowed))
 
 
 def reach_word(
@@ -97,15 +97,17 @@ def reach_word(
         [result.forest.leafage_mask(nid) for nid in level.vertices]
         for level in result.levels
     ]
-    applied: dict[Word, Transformation] = {}
+    ordered = [sorted(level.graph.edges) for level in result.levels]
+    preimages: dict[Word, list[int]] = {}
     current = p.mask
     rounds: list[ReachStep] = []
     while current != full:
-        for level, leaf in zip(result.levels, leaves):
-            inside = [mask & ~current == 0 for mask in leaf]
-            edge = min(
-                (e for e in level.graph.edges if not inside[e[0]] and inside[e[1]]),
-                default=None,
+        # ``out`` holds the states outside the target.  The edges are sorted,
+        # so the first penetrating edge is the least one.
+        out = ~current
+        for level, leaf, edges in zip(result.levels, leaves, ordered):
+            edge = next(
+                (e for e in edges if leaf[e[0]] & out and not leaf[e[1]] & out), None
             )
             if edge is not None:
                 break
@@ -116,10 +118,10 @@ def reach_word(
             raise RuntimeError(
                 "penetrating edge at the least level must be freshly forced"
             )
-        trans = applied.get(w)
-        if trans is None:
-            trans = applied[w] = transformation_of(dfa, w)
-        source = _expand(trans, current, leaf[edge[1]])
+        pre = preimages.get(w)
+        if pre is None:
+            pre = preimages[w] = preimage_masks(transformation_of(dfa, w))
+        source = _expand(pre, current, leaf[edge[1]])
         rounds.append(
             ReachStep(
                 level.level,

@@ -40,6 +40,8 @@ def test_state_set_immutable_and_validated():
         s.mask = 5
     with pytest.raises(ValueError):
         StateSet([-1])
+    with pytest.raises(ValueError, match="non-negative"):
+        StateSet.from_mask(-1)
 
 
 def test_dfa_validation():
@@ -53,6 +55,10 @@ def test_dfa_validation():
         Dfa(2, ("a",), ((0,),))  # missing row
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((0,), (2,)))  # out-of-range target
+    with pytest.raises(ValueError, match="non-empty"):
+        Dfa(1, ("",), ((0,),))
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        Dfa(2, ("a", "b"), ((0, 1), (0,)))
     for n, alphabet, delta in (
         (2.0, ("a",), ((1,), (0,))),
         (True, ("a",), ((0,),)),

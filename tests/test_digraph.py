@@ -156,5 +156,7 @@ def test_condensation_acyclic_on_random_graphs():
 def test_graph_validation():
     with pytest.raises(ValueError):
         SimpleDigraph(2, frozenset({(0, 5)}))
+    with pytest.raises(ValueError, match="non-negative"):
+        SimpleDigraph(-1, ())
     with pytest.raises(ValueError):
         is_strongly_connected(SimpleDigraph(0, frozenset()))

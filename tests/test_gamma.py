@@ -1,6 +1,7 @@
 import pytest
 
 from crautomata import (
+    ClusterForest,
     Dfa,
     FAILURE,
     SUCCESS,
@@ -186,6 +187,26 @@ def test_single_state_automaton():
         assert forest.parent_of(0) == 1 and forest.parent_of(1) is None
         assert [c for c in range(2) if forest.parent_of(c) == 1] == [0]
         assert forest.leafage_mask(0) == forest.leafage_mask(1) == 1
+
+
+def test_forest_levels_and_their_guards():
+    forest = ClusterForest(3)
+    assert forest.add_level([[2], [0, 1]]) == [3, 4]
+    assert forest.add_level([[4, 3]]) == [5]
+    assert forest.level_count == 3 and forest.node_count == 6
+    assert [forest.level_nodes(k) for k in (1, 2, 3)] == [[0, 1, 2], [3, 4], [5]]
+    assert [forest.level_of(nid) for nid in range(6)] == [1, 1, 1, 2, 2, 3]
+    assert [forest.parent_of(nid) for nid in range(6)] == [4, 4, 3, 5, 5, None]
+    assert forest.leafage_mask(4) == 0b011 and forest.leafage_mask(5) == 0b111
+    with pytest.raises(IndexError):
+        forest.level_of(6)
+    for level in (0, 4):
+        with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
+            forest.level_nodes(level)
+    for groups in ([], [[5], [5]], [[4]]):
+        with pytest.raises(ValueError, match="partition the current top level"):
+            forest.add_level(groups)
+    assert forest.level_count == 3 and forest.node_count == 6
 
 
 def test_permutation_automaton_fails_immediately():

@@ -93,6 +93,8 @@ def test_random_dfa_reproducible_and_valid():
     for row in a.delta:
         assert all(0 <= t < 5 for t in row)
     assert a.n == 5 and a.m == 2
+    with pytest.raises(ValueError, match="n >= 1"):
+        random_dfa(0, 1, 0)
 
 
 def test_random_dfa_frozen_sample():

@@ -33,6 +33,9 @@ def test_bound_formulas_frozen():
         compress_length_bound(6, 1)
     with pytest.raises(ValueError):
         compress_length_bound(6, 7)
+    for bound in (cerny_bound, cubic_reset_bound):
+        with pytest.raises(ValueError, match="at least 1"):
+            bound(0)
 
 
 def test_cubic_grows_slower_than_cerny_eventually():
@@ -172,6 +175,13 @@ def test_two_letter_flipflop():
     assert rep.single_cycle == ()
     assert rep.reset_threshold == 1
     assert rep.within_cerny
+
+
+def test_two_letter_without_reset_word():
+    # Two permutations: no reset word, so nothing to compare with (n-1)^2.
+    rep = check_two_letter_properties(Dfa(2, ("a", "b"), ((1, 0), (0, 1))))
+    assert rep.reset_threshold is None
+    assert rep.within_cerny is None
 
 
 def test_two_letter_requires_two_letters():

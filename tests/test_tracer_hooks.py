@@ -2,16 +2,21 @@
 
 ``bench/tracing.py`` patches functions by module and attribute name, so
 deleting or renaming one breaks the traced benchmark run.  This reads the
-tracer's own tables and resolves each entry the way it does.
+tracer's own tables and resolves each entry the way it does.  The same
+tables are the only licence for an import that its module never reads: the
+tracer counts calls through such a name, so it must stay bound.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+PACKAGE = ROOT / "src" / "crautomata"
 
 
 @pytest.fixture(scope="module")
@@ -30,3 +35,38 @@ def test_tracer_targets_resolve(tracing):
         importlib.import_module(module)
         owner, name = tracing._resolve(module, attr)
         assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+
+
+def _imported_and_read(tree):
+    """Names bound by the module's imports, and every name it reads.
+
+    A name read as the base of an attribute, or inside an annotation, is an
+    ``ast.Name`` too.
+    """
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return imported, read
+
+
+def test_no_unread_imports(tracing):
+    counted = {(module, name) for _, module, name in tracing.COUNTED}
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    unread = []
+    for path in paths:
+        imported, read = _imported_and_read(ast.parse(path.read_text()))
+        module = f"crautomata.{path.stem}"
+        unread += [
+            f"{module}.{name}"
+            for name in sorted(imported - read)
+            if (module, name) not in counted
+        ]
+    assert unread == []
