@@ -1,4 +1,4 @@
-"""Shortlex enumeration of canonical words, one per (excl, dupl) signature.
+"""Shortlex enumeration of least words, per signature or per (excl, q) pair.
 
 A word is canonical when it is the shortlex-least word with its signature.
 Every prefix of a canonical word is canonical (the signature of an extension
@@ -43,6 +43,23 @@ rule.
 
 Kept words are stored in one list per defect, filled by the one walk of
 that defect, already in shortlex order.
+
+``PairWordSet`` walks the same tree more sparsely: it keeps the least word
+of every pair (X, q), the shortlex-least word whose excl set is X and whose
+dupl set holds q.  That is all the hierarchy reads, and there are at most
+n·2^(n-1) + 1 keys (q lies outside X), where signatures are bounded only by
+3^n.  The least word u·a of (X, q) extends a least word: if a hits q twice
+from alive(u), then u is the least word whose excl set is excl(u), because
+that word followed by a also has excl set X and q in its dupl set;
+otherwise q = p·a for some p in dupl(u), and u is the least word of
+(excl(u), p).  X itself needs no node.  Once a state is excluded some state
+is hit twice, so X's least word is the least word of (X, q) for every q in
+its dupl set; every entry kept with excl set X is the least word of some
+(X, q), so none comes before X's least word in the defect's code-ordered
+walk, and X's least word is the first entry kept with excl set X.  That
+entry adds the states hit twice from alive to its children and stores the
+packed child excl sets; each later entry of X reads them back and passes
+on only the image of the states it holds.
 """
 
 from __future__ import annotations
@@ -202,3 +219,113 @@ class CanonicalWordSet:
         if k < 0:
             raise ValueError("defect must be non-negative")
         return self._by_defect[k]
+
+
+class PairWordSet(CanonicalWordSet):
+    """Least words of the (excl, duplicate state) pairs up to a defect cap.
+
+    A kept entry ``(word, excl mask, held mask)`` says that the word is the
+    least word with that excl set and q in its dupl set, for every q in the
+    held mask, which ``entries`` reports as the dupl set.  The first entry
+    kept for an excl set holds the whole dupl set of its word.  A waiting
+    entry's key is ``excl << n | held``, the held states being those for
+    which its word may still be least.  ``_best`` maps each pair, as
+    ``excl << n | 1 << q``, to the code of the least word found for it, and
+    the empty word's key 0 to 0; a key with several held states is never
+    in it.
+    """
+
+    def _walk_next_defect(self) -> None:
+        """Keep the waiting words of the next defect, in shortlex order."""
+        kept: list[_Entry] = []
+        heap = self._waiting[len(self._by_defect)]
+        self._by_defect.append(kept)
+        if not heap:
+            return
+        n, delta, fields, memo = self._n, self._delta, self._fields, self._memo
+        best, waiting, letters = self._best, self._waiting, self._letters
+        high = self._high
+        full = (1 << n) - 1
+        width = 2 * n
+        field = (1 << width) - 1
+        m = len(letters)
+        nbytes = (n + 7) >> 3
+        chunks = range(0, nbytes << 8, 256)
+        # excl_keys[excl] is high ^ image(alive): every letter's child excl
+        # set, filled by the excl set's least word.
+        excl_keys: dict[int, int] = {}
+        while heap:
+            code, key, parent, a = heappop(heap)
+            dm = key & full
+            # Left behind by a smaller word, or a key with several duplicate
+            # states, which is not in _best: keep the pairs whose best code
+            # this entry still holds.
+            if best.get(key) != code:
+                ek, held, rest = key ^ dm, 0, dm
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if best[ek | bit] == code:
+                        held |= bit
+                if not held:
+                    continue
+                dm = held
+            w = parent + a
+            em = key >> n
+            kept.append((w, em, dm))
+            keys = excl_keys.get(em)
+            image = twice = 0
+            if keys is None:
+                # The least word of its excl set: dm is its whole dupl set,
+                # and its children add the states hit twice from alive.
+                for c, alive, dupl in zip(
+                    chunks,
+                    (full ^ em).to_bytes(nbytes, "little"),
+                    dm.to_bytes(nbytes, "little"),
+                ):
+                    if alive:
+                        cb = c | alive
+                        hit = memo.get(cb)
+                        if hit is None:
+                            hit = memo[cb] = _chunk_image(delta, fields, cb)
+                        i, t = hit
+                        twice |= t | (image & i)
+                        image |= i
+                        if dupl:
+                            cb = c | dupl
+                            hit = memo.get(cb)
+                            if hit is None:
+                                hit = memo[cb] = _chunk_image(delta, fields, cb)
+                            twice |= hit[0]
+                keys = excl_keys[em] = high ^ image
+            else:  # the held states' images are the children's
+                for c, dupl in zip(chunks, dm.to_bytes(nbytes, "little")):
+                    if dupl:
+                        cb = c | dupl
+                        hit = memo.get(cb)
+                        if hit is None:
+                            hit = memo[cb] = _chunk_image(delta, fields, cb)
+                        twice |= hit[0]
+            keys |= twice >> n
+            ccode = code * m
+            for letter in letters:
+                ccode += 1
+                ckey = keys & field
+                keys >>= width
+                if best.get(ckey, ccode) < ccode:
+                    continue
+                dd = ckey & full
+                if dd & (dd - 1):  # one _best entry per duplicate state
+                    ek, held = ckey ^ dd, 0
+                    while dd:
+                        bit = dd & -dd
+                        dd ^= bit
+                        if best.get(ek | bit, ccode) >= ccode:
+                            best[ek | bit] = ccode
+                            held |= bit
+                    if not held:
+                        continue
+                    ckey = ek | held
+                else:
+                    best[ckey] = ccode
+                heappush(waiting[(ckey >> n).bit_count()], (ccode, ckey, w, letter))

@@ -2,7 +2,7 @@
 
 One loop makes every level.  The level-k graph has the forest's level-k
 nodes as vertices; its edges are the condensation of level k-1 plus the
-edges forced by the (excluded, duplicate) signatures of defect-k words.
+edges forced by the excluded sets and duplicate states of defect-k words.
 Level 1 is the case with no previous level: its nodes are the single states
 and nothing is inherited.  While a level is not strongly connected, its
 clusters become the next level of the cluster forest.  The process stops
@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .automaton import Dfa, StateSet, Word, iter_bits
-from .canonical import CanonicalWordSet
+from .canonical import PairWordSet
 from .digraph import SimpleDigraph, strongly_connected_components
 
 SUCCESS = "SUCCESS"
@@ -54,18 +54,24 @@ class ClusterForest:
             raise ValueError(f"no level {level} in a forest of {self.level_count}")
         return list(range(self._starts[level - 1], self._starts[level]))
 
+    def _id(self, node: int) -> int:
+        # Indexing refuses an id past the last node; refuse a negative one,
+        # which a list would count from the end.
+        if node < 0:
+            raise IndexError(f"no node {node} in a forest of {self.node_count}")
+        return node
+
     def parent_of(self, node: int) -> int | None:
-        return self._parent[node]
+        return self._parent[self._id(node)]
 
     def level_of(self, node: int) -> int:
-        # Indexing the range checks the id as the other accessors' lists do.
-        return bisect_right(self._starts, range(self.node_count)[node])
+        return bisect_right(self._starts, range(self.node_count)[self._id(node)])
 
     def leafage_mask(self, node: int) -> int:
-        return self._leafage[node]
+        return self._leafage[self._id(node)]
 
     def leafage(self, node: int) -> StateSet:
-        return StateSet.from_mask(self._leafage[node])
+        return StateSet.from_mask(self.leafage_mask(node))
 
     def add_level(self, groups: list[list[int]]) -> list[int]:
         """Append a level whose nodes own the given groups of current top nodes."""
@@ -116,12 +122,21 @@ class GammaResult:
 def build_gamma(dfa: Dfa) -> GammaResult:
     """Run the hierarchy until SUCCESS or FAILURE.
 
-    Canonical words are grown one defect level at a time, resuming the
-    enumeration frontier rather than restarting it.  For each defect-k
-    signature (X, D): X fits inside the leafage of at most one cluster
-    (leafages partition the states), and when it does, an edge is forced
-    from that cluster to every other cluster whose leafage meets D; one
-    signature may force several edges.  New forest node i is SCC cluster i,
+    The pair walk is grown one defect level at a time, resuming its
+    frontier rather than restarting it.  It keeps, in shortlex order, each
+    defect-k word w that is the least word of a pair (X, q), with excl set
+    X and q in its dupl set, as (w, X, D), D holding every q for which it
+    is.  X fits inside the leafage of at most one cluster (leafages
+    partition the states), and when it does, an edge is forced from that
+    cluster to every other cluster whose leafage meets D; one word may
+    force several edges.  The least word forcing an edge is the least word
+    of (X, q) for each q it duplicates in the target's leafage, so it is
+    kept with those q in D, and D never leaves the word's dupl set: each
+    edge gets the same least word, in the same order, as from whole
+    (excl, dupl) signatures.  X needs no node of its own: every entry kept
+    with excl set X is the least word of some (X, q), and X's least word is
+    the least word of (X, q) for each of its duplicate states, so it is the
+    first entry kept with excl set X.  New forest node i is SCC cluster i,
     so the cluster ids carry ``owner`` (state -> level-k vertex) and the
     condensation up one level.  Levels with no fresh edges and no
     condensation progress are simply iterated past; the leafage test bounds
@@ -129,7 +144,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     """
     n = dfa.n
     forest = ClusterForest(n)
-    cws = CanonicalWordSet(dfa)
+    cws = PairWordSet(dfa)
     levels: list[GammaLevel] = []
     inherited: frozenset[tuple[int, int]] = frozenset()
     owner = list(range(n))

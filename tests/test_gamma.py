@@ -198,8 +198,17 @@ def test_forest_levels_and_their_guards():
     assert [forest.level_of(nid) for nid in range(6)] == [1, 1, 1, 2, 2, 3]
     assert [forest.parent_of(nid) for nid in range(6)] == [4, 4, 3, 5, 5, None]
     assert forest.leafage_mask(4) == 0b011 and forest.leafage_mask(5) == 0b111
-    with pytest.raises(IndexError):
-        forest.level_of(6)
+    accessors = (
+        forest.parent_of, forest.level_of, forest.leafage_mask, forest.leafage
+    )
+    for accessor in accessors:
+        for nid in (6, -1, -6):
+            with pytest.raises(IndexError):
+                accessor(nid)
+    e5 = build_gamma(fixed_example("e5")).forest
+    for accessor in (e5.parent_of, e5.level_of, e5.leafage_mask, e5.leafage):
+        with pytest.raises(IndexError, match="no node -1 in a forest of 11"):
+            accessor(-1)
     for level in (0, 4):
         with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
             forest.level_nodes(level)

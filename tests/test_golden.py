@@ -16,7 +16,7 @@ items in insertion order, with reach words for the n prefix sets and the n
 singletons.
 
 A refactor must leave every digest unchanged.  A deliberate change of
-output (such as ROADMAP item 1, shorter reach words) updates the digests
+output (such as ROADMAP item 3, shorter reach words) updates the digests
 here and lists the changed families in ``CHANGES.md``.
 """
 

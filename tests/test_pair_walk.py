@@ -1,0 +1,129 @@
+"""The pair walk against the signature walk it replaces in ``build_gamma``.
+
+``PairWordSet`` keeps the least word of every (excl, duplicate state) pair;
+``CanonicalWordSet`` keeps the least word of every whole (excl, dupl)
+signature and stays as the reference.  One corpus serves both checks: the
+kept words are exactly the pairs' least words, and levels built from whole
+signatures are the levels ``build_gamma`` builds from pairs.
+"""
+
+import random
+
+from test_synchro_reference import cycle_idempotent
+
+from crautomata import (
+    FAILURE,
+    SUCCESS,
+    SimpleDigraph,
+    build_gamma,
+    cerny,
+    e_family,
+    excl_dupl,
+    random_dfa,
+    strongly_connected_components,
+)
+from crautomata.automaton import shortlex_key
+from crautomata.canonical import CanonicalWordSet, PairWordSet
+
+
+def corpus():
+    dfas = [random_dfa(1 + i % 9, 1 + i % 4, i) for i in range(300)]
+    for n in range(3, 9):
+        dfas += [e_family(n, k) for k in range(2, n)]
+        dfas.append(e_family(n, n - 1, drop_last_b=True))
+    dfas += [cerny(n) for n in range(2, 11)]
+    rng = random.Random(9)
+    dfas += [cycle_idempotent(n, d, rng) for n in range(2, 10) for d in range(1, n)]
+    return dfas
+
+
+def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
+    multi = 0  # entries holding several duplicate states
+    for dfa in corpus():
+        cap = max(dfa.n - 1, 0)
+        signatures = CanonicalWordSet(dfa)
+        signatures.grow(cap)
+        pairs = PairWordSet(dfa)
+        pairs.grow(cap)
+        for k in range(cap + 1):
+            whole = signatures.signatures_of_defect(k)
+            kept = pairs.signatures_of_defect(k)
+            assert len(kept) <= len(whole), (dfa, k)
+            words = [w for w, _, _ in kept]
+            assert words == sorted(words, key=shortlex_key)
+            least = {}
+            for w, em, dm in whole:
+                for q in range(dfa.n):
+                    if dm >> q & 1:
+                        least.setdefault((em, q), w)
+            held, first = {}, set()
+            for w, em, dm in kept:
+                pair = excl_dupl(dfa, w)
+                assert pair.excl.mask == em and dm & ~pair.dupl.mask == 0, (dfa, w)
+                if em not in first:  # the excl set's least word holds it all
+                    first.add(em)
+                    assert dm == pair.dupl.mask, (dfa, w)
+                multi += dm & (dm - 1) != 0
+                for q in range(dfa.n):
+                    if dm >> q & 1:
+                        assert (em, q) not in held, (dfa, w)
+                        held[(em, q)] = w
+            assert held == least, (dfa, k)
+    assert multi
+
+
+def reference_levels(dfa):
+    """Outcome, terminal step and (vertices, forcing items, inherited) per level.
+
+    Levels are built from whole signatures: a defect-k signature (X, D)
+    forces an edge from the cluster whose leafage holds X to every other
+    cluster whose leafage meets D, the first signature forcing an edge
+    giving its word, the targets of one signature taken in vertex order.
+    """
+    n = dfa.n
+    cws = CanonicalWordSet(dfa)
+    leafages = [1 << q for q in range(n)]
+    ids = list(range(n))
+    inherited = frozenset()
+    levels = []
+    k = 1
+    while True:
+        cws.grow(k)
+        forcing = {}
+        for w, em, dm in cws.signatures_of_defect(k):
+            for src, outer in enumerate(leafages):
+                if em & ~outer:
+                    continue
+                for dst, inner in enumerate(leafages):
+                    if dst != src and dm & inner:
+                        forcing.setdefault((src, dst), w)
+        levels.append((tuple(ids), list(forcing.items()), inherited))
+        graph = SimpleDigraph(len(ids), inherited | set(forcing))
+        part = strongly_connected_components(graph)
+        leafages = [
+            sum(leafages[v] for v in cluster) for cluster in part.clusters
+        ]
+        ids = list(range(ids[-1] + 1, ids[-1] + 1 + len(leafages)))
+        if len(leafages) == 1:
+            return SUCCESS, k, levels
+        if all(leaf.bit_count() <= k for leaf in leafages):
+            return FAILURE, k, levels
+        cid = part.cluster_id
+        inherited = frozenset(
+            (cid[s], cid[t]) for s, t in graph.edges if cid[s] != cid[t]
+        )
+        k += 1
+
+
+def test_levels_from_pairs_equal_levels_from_signatures():
+    outcomes = set()
+    for dfa in corpus():
+        result = build_gamma(dfa)
+        got = [
+            (lv.vertices, list(lv.forcing.items()), lv.inherited)
+            for lv in result.levels
+        ]
+        want = reference_levels(dfa)
+        assert (result.outcome, result.terminal_step, got) == want, dfa
+        outcomes.add((result.outcome, result.terminal_step > 1))
+    assert len(outcomes) == 4  # both answers, at step 1 and deeper

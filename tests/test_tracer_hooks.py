@@ -4,7 +4,9 @@
 deleting or renaming one breaks the traced benchmark run.  This reads the
 tracer's own tables and resolves each entry the way it does.  The same
 tables are the only licence for an import that its module never reads: the
-tracer counts calls through such a name, so it must stay bound.
+tracer counts calls through such a name, so it must stay bound.  The
+``canonical.*`` spans wrap ``CanonicalWordSet``'s methods, so the walk that
+``build_gamma`` runs must inherit them.
 """
 
 import ast
@@ -13,6 +15,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import crautomata.gamma as gamma_module
+from crautomata import fixed_example
+from crautomata.canonical import CanonicalWordSet
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -70,3 +76,26 @@ def test_no_unread_imports(tracing):
             if (module, name) not in counted
         ]
     assert unread == []
+
+
+def test_canonical_spans_time_the_decisions_walk(tracing):
+    walks = [
+        value
+        for value in vars(gamma_module).values()
+        if isinstance(value, type) and issubclass(value, CanonicalWordSet)
+    ]
+    assert walks and CanonicalWordSet not in walks
+    for walk in walks:
+        assert walk.grow is CanonicalWordSet.grow
+        assert walk.signatures_of_defect is CanonicalWordSet.signatures_of_defect
+    tracer = tracing.Tracer()
+    tracer.start_pass()
+    tracer.install()
+    try:
+        result = gamma_module.build_gamma(fixed_example("e5"))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["canonical.grow_calls"] == result.terminal_step == 3
+    assert counts["canonical.select_calls"] == result.terminal_step
+    assert counts["canonical.signatures"] > 0
