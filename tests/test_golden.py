@@ -9,6 +9,10 @@ One sha256 per family covers, for every automaton of the family:
 
 Every hashed reach word is checked by applying it to the full state set.
 
+A second digest per family pins the brute-force oracle and the avoiding
+search on the same corpora: the whole ``powerset_reach_map`` in mask order,
+``reset_threshold_exact``, and ``avoiding_word`` for every state.
+
 Two more sets of digests pin automata larger than the corpus: the canonical
 walk, as every list ``signatures_of_defect`` returns up to a cap, and the
 hierarchy, as ``gamma_to_doc`` plus each level's vertices and ``forcing``
@@ -28,13 +32,16 @@ import pytest
 from crautomata import (
     StateSet,
     apply_word,
+    avoiding_word,
     build_gamma,
     cerny,
     e_family,
     fixed_example,
     gamma_to_doc,
+    powerset_reach_map,
     random_dfa,
     reach_word,
+    reset_threshold_exact,
     reset_word,
     unreachable_witness,
 )
@@ -85,10 +92,16 @@ def _records(dfa):
         yield repr((report.word, report.halving_length, report.compression_lengths))
 
 
-def _digest(family):
+def _oracle_records(dfa):
+    yield repr(sorted(powerset_reach_map(dfa).words.items()))
+    yield repr(reset_threshold_exact(dfa))
+    yield repr([avoiding_word(dfa, q) for q in range(dfa.n)])
+
+
+def _digest(family, records=_records):
     h = hashlib.sha256()
     for dfa in _corpus(family):
-        for record in _records(dfa):
+        for record in records(dfa):
             h.update(record.encode())
             h.update(b"\n")
     return h.hexdigest()
@@ -105,6 +118,19 @@ GOLDEN = {
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_golden_digest(family):
     assert _digest(family) == GOLDEN[family]
+
+
+ORACLE_GOLDEN = {
+    "random": "978b1270106b67f10273ec011ba4534292eb84d4957621ffb9481bdb314d2b6f",
+    "cerny": "6497530938942314e58f3df17ccda2913edc699ed4fde66c89c7c5b66c733573",
+    "e_family": "22e4a1b444d4b3a9e20b0aa85ad1ac25750ae29381c50347786fc5ea3c7d5c9b",
+    "fixtures": "6537e419b8759c346d8208d112eeef0b057f6bccc5824f4eb8a15cde7d6ed687",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GOLDEN))
+def test_oracle_digest(family):
+    assert _digest(family, _oracle_records) == ORACLE_GOLDEN[family]
 
 
 # name -> (automaton, defect cap, digest of the per-defect lists).  cerny(65)
