@@ -4,11 +4,23 @@ States are dense integers 0..n-1 so that transition tables are flat tuples
 and state sets are bit masks.  Words are tuples of letter indices and act on
 the right: q . uv = (q . u) . v.  The letter order is the declaration order
 of the alphabet and defines the shortlex order used everywhere downstream.
+
+State sets step through packed letter tables, one per automaton and
+direction.  ``packed_images`` holds a table per 8-state chunk whose entry
+for a byte is every letter's image of the states that byte marks, letter a
+at bits a·n; ``packed_preimages`` holds the preimages the same way.
+``step_all`` ORs one entry per chunk, so a set's images under all m letters
+cost one lookup per chunk instead of m loops over its states.  Chunk c's
+table is filled whole, 2^min(8, n - 8c) entries, and cached per automaton.
+The canonical walk (``canonical``) keeps its own memo, filled an entry at a
+time: it also needs the states hit twice, and on small automata it reads
+few of the entries a whole fill would build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -190,19 +202,64 @@ class ExclDuplPair:
         return (self.excl.mask, self.dupl.mask)
 
 
-def apply_letter_mask(delta: Sequence[Sequence[int]], mask: int, a: int) -> int:
-    """Image of a state-set bit mask under a single letter."""
+def _pack(columns: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Chunk tables from ``columns[a][q]``, a mask for letter a and state q.
+
+    State q's row packs ``columns[a][q]`` at bits a·n for every letter.  Each
+    8 rows get one table whose entry b is the union of the rows b marks; a
+    chunk of k rows has 2^k entries, built by doubling: with rows 0..i-1 in,
+    every entry b gains a twin b | 1 << i that also holds row i.
+    """
+    rows = [0] * n
+    for shift, column in zip(range(0, len(columns) * n, n), columns):
+        rows = [r | mask << shift for r, mask in zip(rows, column)]
+    tables = []
+    for c in range(0, n, 8):
+        tab = [0]
+        for row in rows[c : c + 8]:
+            tab += [t | row for t in tab]
+        tables.append(tuple(tab))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=8)
+def packed_images(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
+    """Per 8-state chunk, every letter's image of the states a byte marks.
+
+    ``packed_images(dfa)[c][b]`` holds, letter a at bits a·n and up, the
+    image under a of the states 8c + i with bit i set in b; ``step_all``
+    reads a whole set's images from it.
+    """
+    return _pack([[1 << p for p in column] for column in zip(*dfa.delta)], dfa.n)
+
+
+@lru_cache(maxsize=8)
+def packed_preimages(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
+    """``packed_images`` backwards: every letter's preimage of the marked states."""
+    return _pack(preimage_table(dfa), dfa.n)
+
+
+def step_all(packed: Sequence[Sequence[int]], mask: int) -> int:
+    """Every letter's image (or preimage) of ``mask`` at once.
+
+    Letter a's set is ``step_all(packed, mask) >> a * n & (1 << n) - 1``;
+    the cost is one lookup per 8-state chunk that ``mask`` reaches.
+    """
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << delta[low.bit_length() - 1][a]
-        mask ^= low
+    for tab in packed:
+        if not mask:
+            break
+        out |= tab[mask & 255]
+        mask >>= 8
     return out
 
 
 def apply_word_mask(dfa: Dfa, mask: int, w: Sequence[int]) -> int:
+    packed = packed_images(dfa)
+    n = dfa.n
+    full = (1 << n) - 1
     for a in w:
-        mask = apply_letter_mask(dfa.delta, mask, a)
+        mask = step_all(packed, mask) >> a * n & full
     return mask
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately exponential: powerset breadth-first search
 over subset images and transformation-monoid closure.  Soft size guards keep
 misuse loud; tie-breaks follow the shortlex order of the declared alphabet,
-so all outputs are deterministic golden values.
+so all outputs are deterministic golden values.  The powerset searches read
+all m images of a subset at once from ``automaton.packed_images``, one
+lookup per 8-state chunk.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .automaton import (
     StateSet,
     Transformation,
     Word,
-    apply_letter_mask,
+    packed_images,
+    step_all,
 )
 
 DEFAULT_MAX_STATES = 22
@@ -57,15 +60,17 @@ def _check_guard(dfa: Dfa, max_states: int) -> None:
 def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachMap:
     """Breadth-first search over subset images starting from the full set."""
     _check_guard(dfa, max_states)
-    delta = dfa.delta
-    full = (1 << dfa.n) - 1
+    packed = packed_images(dfa)
+    n, m = dfa.n, dfa.m
+    full = (1 << n) - 1
     words: dict[int, Word] = {full: ()}
     queue = deque([full])
     while queue:
         mask = queue.popleft()
         w = words[mask]
-        for a in range(dfa.m):
-            image = apply_letter_mask(delta, mask, a)
+        images = step_all(packed, mask)
+        for a in range(m):
+            image = images >> a * n & full
             if image not in words:
                 words[image] = w + (a,)
                 queue.append(image)
@@ -80,17 +85,19 @@ def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
 def reset_threshold_exact(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> int | None:
     """Length of the shortest word collapsing Q to one state; None if none exists."""
     _check_guard(dfa, max_states)
-    delta = dfa.delta
-    full = (1 << dfa.n) - 1
-    if dfa.n == 1:
+    n, m = dfa.n, dfa.m
+    full = (1 << n) - 1
+    if n == 1:
         return 0
+    packed = packed_images(dfa)
     lengths = {full: 0}
     queue = deque([full])
     while queue:
         mask = queue.popleft()
         depth = lengths[mask]
-        for a in range(dfa.m):
-            image = apply_letter_mask(delta, mask, a)
+        images = step_all(packed, mask)
+        for a in range(m):
+            image = images >> a * n & full
             if image not in lengths:
                 if image & (image - 1) == 0:
                     return depth + 1

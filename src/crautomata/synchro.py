@@ -18,10 +18,13 @@ distances per automaton: a breadth-first search backwards on the pair graph
 from the merged pairs, O(m n^2), as in Eppstein's greedy synchronization.
 A word u avoids q exactly when the preimage {q} . u^-1 is empty, so avoiding
 words come from a breadth-first search backwards over preimage sets of {q}.
-Both step backwards through the letter-preimage masks of
-``automaton.preimage_table``.  Either way the word is then rebuilt from the
-front, each letter the first that leaves a completion of the remaining
-length.  The pair table is polynomial.  The backward preimage search has no
+The pair search steps through the letter-preimage masks of
+``automaton.preimage_table``.  The avoiding search reads a set's preimages
+under every letter at once from ``automaton.packed_preimages``, one lookup
+per 8-state chunk, and its rebuild and the halving phase's first letter
+read images from ``automaton.packed_images`` the same way.  Either way the
+word is then rebuilt from the front, each letter the first that leaves a
+completion of the remaining length.  The pair table is polynomial.  The backward preimage search has no
 proven polynomial bound on general automata: nothing bounds the number of
 distinct preimage sets it meets by a polynomial in n.
 """
@@ -38,11 +41,13 @@ from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
     Word,
-    apply_letter_mask,
     apply_word_mask,
     excl_dupl,
     iter_bits,
+    packed_images,
+    packed_preimages,
     preimage_table,
+    step_all,
     transformation_of,
 )
 from .oracle import DEFAULT_MAX_STATES, reset_threshold_exact
@@ -128,19 +133,17 @@ def _avoiding_levels(dfa: Dfa, q: int) -> list[list[int]] | None:
     preimage; the levels before it are returned, so their count is the
     length of the shortest avoiding word.
     """
-    pre = preimage_table(dfa)
+    packed = packed_preimages(dfa)
+    n, m = dfa.n, dfa.m
+    full = (1 << n) - 1
     levels = [[1 << q]]
     seen = {1 << q}
     while levels[-1]:
         nxt = []
         for s in levels[-1]:
-            for col in pre:
-                t = 0
-                rest = s
-                while rest:
-                    low = rest & -rest
-                    t |= col[low.bit_length() - 1]
-                    rest ^= low
+            pres = step_all(packed, s)
+            for a in range(m):
+                t = pres >> a * n & full
                 if not t:
                     return levels
                 if t not in seen:
@@ -165,11 +168,15 @@ def avoiding_word(dfa: Dfa, q: int) -> Word | None:
     levels = _avoiding_levels(dfa, q)
     if levels is None:
         return None
+    packed = packed_images(dfa)
+    n = dfa.n
+    full = (1 << n) - 1
     word = []
-    image = (1 << dfa.n) - 1
+    image = full
     for targets in reversed(levels):
+        images = step_all(packed, image)
         for a in range(dfa.m):
-            nxt = apply_letter_mask(dfa.delta, image, a)
+            nxt = images >> a * n & full
             if any(not nxt & t for t in targets):
                 break
         word.append(a)
@@ -231,9 +238,11 @@ def halving_word(dfa: Dfa) -> Word:
     """
     best_letter = 0
     best_defect = -1
-    full = (1 << dfa.n) - 1
+    n = dfa.n
+    full = (1 << n) - 1
+    images = step_all(packed_images(dfa), full)
     for a in range(dfa.m):
-        d = dfa.n - apply_letter_mask(dfa.delta, full, a).bit_count()
+        d = n - (images >> a * n & full).bit_count()
         if d > best_defect:
             best_letter = a
             best_defect = d

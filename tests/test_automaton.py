@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from crautomata import (
@@ -11,8 +13,13 @@ from crautomata import (
     preimage_table,
     transformation_of,
 )
-from crautomata.automaton import shortlex_key
-from crautomata.generators import cerny, fixed_example
+from crautomata.automaton import (
+    packed_images,
+    packed_preimages,
+    shortlex_key,
+    step_all,
+)
+from crautomata.generators import cerny, fixed_example, random_dfa
 
 
 def test_state_set_basics():
@@ -155,6 +162,30 @@ def test_preimage_table():
             union |= mask
             total += mask.bit_count()
         assert union == (1 << e5.n) - 1 and total == e5.n
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24, 25])
+def test_packed_tables_match_per_state_steps(n, m):
+    dfa = random_dfa(n, m, 100 * n + m)
+    forward, backward = packed_images(dfa), packed_preimages(dfa)
+    sizes = [2 ** min(8, n - c) for c in range(0, n, 8)]
+    assert [len(t) for t in forward] == [len(t) for t in backward] == sizes
+    full = (1 << n) - 1
+    last = (n - 1) // 8 * 8  # first state of the last chunk
+    rng = random.Random(n * m)
+    masks = [0, full] + [1 << q for q in range(n)]
+    masks += [rng.getrandbits(n) for _ in range(20)]
+    masks += [rng.randrange(1, 1 << n - last) << last for _ in range(5)]
+    for mask in masks:
+        images, preimages = step_all(forward, mask), step_all(backward, mask)
+        assert images >> m * n == preimages >> m * n == 0
+        members = [p for p in range(n) if mask >> p & 1]
+        for a in range(m):
+            image = sum({1 << dfa.delta[p][a] for p in members})
+            preimage = sum(1 << p for p in range(n) if mask >> dfa.delta[p][a] & 1)
+            assert images >> a * n & full == image
+            assert preimages >> a * n & full == preimage
 
 
 def test_extend_excl_dupl_walk():

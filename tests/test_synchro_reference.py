@@ -17,7 +17,6 @@ import pytest
 from crautomata import (
     Dfa,
     StateSet,
-    apply_word,
     avoiding_word,
     cerny,
     compress_length_bound,
@@ -29,7 +28,17 @@ from crautomata import (
     reset_word,
     transformation_of,
 )
-from crautomata.automaton import apply_letter_mask, apply_word_mask
+
+
+def ref_step(dfa, mask, a):
+    """Image of a state set under one letter, one state at a time."""
+    return sum({1 << dfa.delta[p][a] for p in range(dfa.n) if mask >> p & 1})
+
+
+def ref_apply(dfa, mask, w):
+    for a in w:
+        mask = ref_step(dfa, mask, a)
+    return mask
 
 
 def ref_avoiding_word(dfa, q):
@@ -43,7 +52,7 @@ def ref_avoiding_word(dfa, q):
     while queue:
         mask, word = queue.popleft()
         for a in range(dfa.m):
-            nxt = apply_letter_mask(dfa.delta, mask, a)
+            nxt = ref_step(dfa, mask, a)
             if nxt in seen:
                 continue
             if not nxt & (1 << q):
@@ -66,7 +75,7 @@ def ref_compress_word(dfa, p):
     while queue:
         mask, word = queue.popleft()
         for a in range(dfa.m):
-            nxt = apply_letter_mask(dfa.delta, mask, a)
+            nxt = ref_step(dfa, mask, a)
             if nxt in seen:
                 continue
             if nxt.bit_count() < size:
@@ -80,22 +89,22 @@ def ref_reset_word(dfa):
     """(word, halving length, compression lengths) as first implemented."""
     full = (1 << dfa.n) - 1
     defects = [
-        dfa.n - apply_letter_mask(dfa.delta, full, a).bit_count() for a in range(dfa.m)
+        dfa.n - ref_step(dfa, full, a).bit_count() for a in range(dfa.m)
     ]
     w = (defects.index(max(defects)),)
-    while 2 * apply_word_mask(dfa, full, w).bit_count() > dfa.n:
-        image = apply_word_mask(dfa, full, w)
+    while 2 * ref_apply(dfa, full, w).bit_count() > dfa.n:
+        image = ref_apply(dfa, full, w)
         unique_mask = image & ~excl_dupl(dfa, w).dupl.mask
         p = (unique_mask & -unique_mask).bit_length() - 1
         w = ref_avoiding_word(dfa, transformation_of(dfa, w).index(p)) + w
     halving_length = len(w)
     lengths = []
-    image = apply_word_mask(dfa, full, w)
+    image = ref_apply(dfa, full, w)
     while image.bit_count() > 1:
         u = ref_compress_word(dfa, StateSet.from_mask(image))
         lengths.append(len(u))
         w += u
-        image = apply_word_mask(dfa, image, u)
+        image = ref_apply(dfa, image, u)
     return w, halving_length, tuple(lengths)
 
 
@@ -179,14 +188,15 @@ def test_reset_word_matches_reference_on_cycle_idempotent():
 )
 def test_reset_word_at_scale(dfa):
     n = dfa.n
+    full = (1 << n) - 1
     report = reset_word(dfa)
-    assert len(apply_word(dfa, dfa.states(), report.word)) == 1
+    assert ref_apply(dfa, full, report.word).bit_count() == 1
     pos = report.halving_length
-    image = apply_word(dfa, dfa.states(), report.word[:pos])
-    assert 2 * len(image) <= n
+    image = ref_apply(dfa, full, report.word[:pos])
+    assert 2 * image.bit_count() <= n
     for length in report.compression_lengths:
-        assert length <= compress_length_bound(n, len(image))
-        image = apply_word(dfa, image, report.word[pos : pos + length])
+        assert length <= compress_length_bound(n, image.bit_count())
+        image = ref_apply(dfa, image, report.word[pos : pos + length])
         pos += length
     assert report.length <= cubic_reset_bound(n)
     assert report.within_cubic
