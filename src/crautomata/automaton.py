@@ -202,19 +202,14 @@ class ExclDuplPair:
         return (self.excl.mask, self.dupl.mask)
 
 
-def _pack(columns: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """Chunk tables from ``columns[a][q]``, a mask for letter a and state q.
+def _chunk_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """One table per 8 rows: entry b is the union of the rows that b marks.
 
-    State q's row packs ``columns[a][q]`` at bits a·n for every letter.  Each
-    8 rows get one table whose entry b is the union of the rows b marks; a
-    chunk of k rows has 2^k entries, built by doubling: with rows 0..i-1 in,
-    every entry b gains a twin b | 1 << i that also holds row i.
+    A chunk of k rows gets 2^k entries, built by doubling: with rows 0..i-1
+    in, every entry b gains a twin b | 1 << i that also holds row i.
     """
-    rows = [0] * n
-    for shift, column in zip(range(0, len(columns) * n, n), columns):
-        rows = [r | mask << shift for r, mask in zip(rows, column)]
     tables = []
-    for c in range(0, n, 8):
+    for c in range(0, len(rows), 8):
         tab = [0]
         for row in rows[c : c + 8]:
             tab += [t | row for t in tab]
@@ -230,13 +225,23 @@ def packed_images(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     image under a of the states 8c + i with bit i set in b; ``step_all``
     reads a whole set's images from it.
     """
-    return _pack([[1 << p for p in column] for column in zip(*dfa.delta)], dfa.n)
+    n = dfa.n
+    rows = [0] * n
+    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
+        rows = [r | 1 << shift + q for r, q in zip(rows, column)]
+    return _chunk_tables(rows)
 
 
 @lru_cache(maxsize=8)
 def packed_preimages(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     """``packed_images`` backwards: every letter's preimage of the marked states."""
-    return _pack(preimage_table(dfa), dfa.n)
+    n = dfa.n
+    shifts = range(0, dfa.m * n, n)
+    rows = [0] * n
+    for p, row in enumerate(dfa.delta):
+        for shift, q in zip(shifts, row):
+            rows[q] |= 1 << shift + p
+    return _chunk_tables(rows)
 
 
 def step_all(packed: Sequence[Sequence[int]], mask: int) -> int:

@@ -18,15 +18,16 @@ distances per automaton: a breadth-first search backwards on the pair graph
 from the merged pairs, O(m n^2), as in Eppstein's greedy synchronization.
 A word u avoids q exactly when the preimage {q} . u^-1 is empty, so avoiding
 words come from a breadth-first search backwards over preimage sets of {q}.
-The pair search steps through the letter-preimage masks of
-``automaton.preimage_table``.  The avoiding search reads a set's preimages
+The pair search steps backwards through the letter-preimage masks of
+``automaton.preimage_table``; the avoiding search reads a set's preimages
 under every letter at once from ``automaton.packed_preimages``, one lookup
-per 8-state chunk, and its rebuild and the halving phase's first letter
-read images from ``automaton.packed_images`` the same way.  Either way the
-word is then rebuilt from the front, each letter the first that leaves a
-completion of the remaining length.  The pair table is polynomial.  The backward preimage search has no
-proven polynomial bound on general automata: nothing bounds the number of
-distinct preimage sets it meets by a polynomial in n.
+per 8-state chunk.  Either way the word is then rebuilt from the front,
+each letter the first that leaves a completion of the remaining length;
+the avoiding rebuild and the halving phase's first letter read images
+from ``automaton.packed_images`` the same way.  The pair table is
+polynomial.  The backward preimage search has no proven polynomial bound
+on general automata: nothing bounds the number of distinct preimage sets
+it meets by a polynomial in n.
 """
 
 from __future__ import annotations
