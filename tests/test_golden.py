@@ -13,10 +13,11 @@ A second digest per family pins the brute-force oracle and the avoiding
 search on the same corpora: the whole ``powerset_reach_map`` in mask order,
 ``reset_threshold_exact``, and ``avoiding_word`` for every state.
 
-Two more sets of digests pin automata larger than the corpus: the canonical
-walk, as every list ``signatures_of_defect`` returns up to a cap, and the
-hierarchy, as ``gamma_to_doc`` plus each level's vertices and ``forcing``
-items in insertion order, with reach words for the n prefix sets and the n
+Two more sets of digests pin automata larger than the corpus: both
+canonical walks, the signature walk and the pair walk, as every list
+``signatures_of_defect`` returns up to a cap, and the hierarchy, as
+``gamma_to_doc`` plus each level's vertices and ``forcing`` items in
+insertion order, with reach words for the n prefix sets and the n
 singletons.
 
 A refactor must leave every digest unchanged.  A deliberate change of
@@ -45,7 +46,7 @@ from crautomata import (
     reset_word,
     unreachable_witness,
 )
-from crautomata.canonical import CanonicalWordSet
+from crautomata.canonical import CanonicalWordSet, PairWordSet
 
 
 def _corpus(family):
@@ -133,38 +134,60 @@ def test_oracle_digest(family):
     assert _digest(family, _oracle_records) == ORACLE_GOLDEN[family]
 
 
-# name -> (automaton, defect cap, digest of the per-defect lists).  cerny(65)
-# spans nine 8-state chunks and its defect-1 words run to 191 letters;
-# random_dfa(16, 2, 102) is a rare draw with a thousand signatures by
-# defect 3.
+# name -> (automaton, defect cap, {walk: digest of the per-defect lists}).
+# cerny(65) spans nine 8-state chunks and its defect-1 words run to 191
+# letters; random_dfa(16, 2, 102) is a rare draw with a thousand signatures
+# by defect 3, and the only one here where the pair walk keeps fewer words
+# than the signature walk.
 WALKS = {
     "e_family(12, 11)": (
         lambda: e_family(12, 11),
         11,
-        "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+        {
+            CanonicalWordSet: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+            PairWordSet: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+        },
     ),
     "e_family(12, 11, drop_last_b)": (
         lambda: e_family(12, 11, drop_last_b=True),
         11,
-        "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+        {
+            CanonicalWordSet: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+            PairWordSet: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+        },
     ),
     "cerny(65)": (
         lambda: cerny(65),
         1,
-        "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+        {
+            CanonicalWordSet: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+            PairWordSet: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+        },
     ),
     "random_dfa(16, 2, 102)": (
         lambda: random_dfa(16, 2, 102),
         3,
-        "a6206f689019c094f19339e77ae2aa7c5adc023737ebe4c8763108553ddf14de",
+        {
+            CanonicalWordSet: "a6206f689019c094f19339e77ae2aa7c5adc023737ebe4c8763108553ddf14de",
+            PairWordSet: "c1a3fefa3d481dfcc8799cfc034756365c7b59d610ba5dd04aae1d920fcca087",
+        },
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(WALKS))
-def test_canonical_walk_digest(name):
-    make, cap, digest = WALKS[name]
-    cws = CanonicalWordSet(make())
+# The signature walk keeps the bare name as its test id.
+@pytest.mark.parametrize(
+    "name, walk",
+    [
+        pytest.param(name, walk, id=name if walk is CanonicalWordSet else f"{name}-pairs")
+        for name in sorted(WALKS)
+        for walk in (CanonicalWordSet, PairWordSet)
+    ],
+)
+def test_canonical_walk_digest(name, walk):
+    make, cap, digests = WALKS[name]
+    digest = digests[walk]
+    cws = walk(make())
     cws.grow(cap)
     h = hashlib.sha256()
     for k in range(cap + 1):
