@@ -26,20 +26,12 @@ entry popped and not skipped holds the least word with its signature.
 Each word waits at most once, so the codes in a heap are distinct and the
 heap never compares the words.
 
-A child's signature comes from its parent's alone.  With alive = Q \\ excl,
-the child's excl is the complement of alive·a, and its dupl holds the
-states hit twice from alive plus the image of dupl (dupl lies inside
-alive, so "the a-preimage of q meets dupl" is "q lies in dupl·a").  Both
-images are read eight states at a time and for every letter at once:
-letter a owns the 2n bits from a·2n on, and ``_memo`` maps ``chunk << 8 |
-byte`` to the pair (image, states hit twice) of the states that the byte
-marks in that chunk, with letter a's images in the high n bits of its
-field; an entry is filled the first time a walk needs it.  Across chunks a
-state is hit twice when two chunks both reach it.  Then ``(_high ^ image)
-| twice >> n``, with ``_high`` all ones in every high half, holds letter
-a's child signature ``excl << n | dupl`` in its field.
-``automaton.extend_excl_dupl`` is the per-state statement of the same
-rule.
+A child's signature comes from its parent's alone, by
+``automaton.extend_excl_dupl``: with alive = Q \\ excl, the child's excl
+is the complement of alive·a, and its dupl holds the states hit twice from
+alive plus the image of dupl (dupl lies inside alive, so "the a-preimage
+of q meets dupl" is "q lies in dupl·a").  The signature walk applies that
+rule state by state, and serves as the reference for the pair walk below.
 
 Kept words are stored in one list per defect, filled by the one walk of
 that defect, already in shortlex order.
@@ -60,6 +52,15 @@ walk, and X's least word is the first entry kept with excl set X.  That
 entry adds the states hit twice from alive to its children and stores the
 packed child excl sets; each later entry of X reads them back and passes
 on only the image of the states it holds.
+
+The pair walk reads images eight states at a time and for every letter at
+once: letter a owns the 2n bits from a·2n on, and ``_memo`` maps ``chunk
+<< 8 | byte`` to the pair (image, states hit twice) of the states that the
+byte marks in that chunk, with letter a's images in the high n bits of its
+field; an entry is filled the first time a walk needs it.  Across chunks a
+state is hit twice when two chunks both reach it.  Then ``(_high ^ image)
+| twice >> n``, with ``_high`` all ones in every high half, holds letter
+a's child signature ``excl << n | dupl`` in its field.
 """
 
 from __future__ import annotations
@@ -67,53 +68,27 @@ from __future__ import annotations
 from collections import defaultdict
 from heapq import heappop, heappush
 
-from .automaton import Dfa, ExclDuplPair, StateSet, Word, shortlex_key
+from .automaton import (
+    Dfa,
+    ExclDuplPair,
+    StateSet,
+    Word,
+    extend_excl_dupl,
+    preimage_table,
+    shortlex_key,
+)
 
 # (word, excl mask, dupl mask)
 _Entry = tuple[Word, int, int]
-
-
-def _chunk_image(
-    delta: tuple[tuple[int, ...], ...], fields: range, cb: int
-) -> tuple[int, int]:
-    """(image, states hit twice) of the states that ``cb`` marks, all letters.
-
-    Letter a's image of state p is bit ``delta[p][a] + fields[a]``.
-    """
-    rows = []
-    byte, p = cb & 255, (cb >> 8) << 3
-    while byte:
-        if byte & 1:
-            rows.append(delta[p])
-        byte >>= 1
-        p += 1
-    image = twice = 0
-    for a, f in enumerate(fields):
-        im = tw = 0
-        for row in rows:
-            bit = 1 << row[a]
-            tw |= im & bit
-            im |= bit
-        image |= im << f
-        twice |= tw << f
-    return image, twice
 
 
 class CanonicalWordSet:
     """Shortlex-least witnesses for every realizable signature up to a defect cap."""
 
     def __init__(self, dfa: Dfa):
-        n, m = dfa.n, dfa.m
-        width = 2 * n
-        self._n = n
-        self._delta = dfa.delta
-        # Letter a's images sit at bits fields[a] = a·2n + n and up.
-        self._fields = range(n, n + m * width, width)
-        # Every field's high half set: that half's mask times the m-digit
-        # repunit in base 2**width.
-        self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
-        self._memo: dict[int, tuple[int, int]] = {}
-        self._letters = [(a,) for a in range(m)]
+        self._dfa = dfa
+        self._n = dfa.n
+        self._letters = [(a,) for a in range(dfa.m)]
         # _best[excl << n | dupl] is the code of the least word found with
         # that signature.
         self._best: dict[int, int] = {0: 0}
@@ -155,17 +130,13 @@ class CanonicalWordSet:
         kept: list[_Entry] = []
         heap = self._waiting[len(self._by_defect)]
         self._by_defect.append(kept)
-        if not heap:  # skip the set-up: most small random automata stop here
+        if not heap:
             return
-        n, delta, fields, memo = self._n, self._delta, self._fields, self._memo
+        n, dfa = self._n, self._dfa
         best, waiting, letters = self._best, self._waiting, self._letters
-        high = self._high
+        table = preimage_table(dfa)
         full = (1 << n) - 1
-        width = 2 * n
-        field = (1 << width) - 1
         m = len(letters)
-        nbytes = (n + 7) >> 3
-        chunks = range(0, nbytes << 8, 256)
         while heap:
             code, key, parent, a = heappop(heap)
             if best[key] != code:  # left behind by a smaller word
@@ -173,38 +144,16 @@ class CanonicalWordSet:
             w = parent + a
             em, dm = key >> n, key & full
             kept.append((w, em, dm))
-            image = twice = 0
-            # dupl lies inside alive, so a chunk without alive states has no
-            # dupl states either.
-            for c, alive, dupl in zip(
-                chunks,
-                (full ^ em).to_bytes(nbytes, "little"),
-                dm.to_bytes(nbytes, "little"),
-            ):
-                if alive:
-                    cb = c | alive
-                    hit = memo.get(cb)
-                    if hit is None:
-                        hit = memo[cb] = _chunk_image(delta, fields, cb)
-                    i, t = hit
-                    twice |= t | (image & i)
-                    image |= i
-                    if dupl:
-                        cb = c | dupl
-                        hit = memo.get(cb)
-                        if hit is None:
-                            hit = memo[cb] = _chunk_image(delta, fields, cb)
-                        twice |= hit[0]
-            keys = (high ^ image) | (twice >> n)
+            pair = ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm))
             ccode = code * m
             for letter in letters:
                 ccode += 1
-                ckey = keys & field
-                keys >>= width
+                child = extend_excl_dupl(pair, dfa, letter[0], table)
+                ckey = child.excl.mask << n | child.dupl.mask
                 if best.get(ckey, ccode) < ccode:
                     continue
                 best[ckey] = ccode
-                heappush(waiting[(ckey >> n).bit_count()], (ccode, ckey, w, letter))
+                heappush(waiting[child.defect], (ccode, ckey, w, letter))
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
         """Raw (word, excl mask, dupl mask) triples of defect exactly k.
@@ -235,22 +184,59 @@ class PairWordSet(CanonicalWordSet):
     in it.
     """
 
+    def __init__(self, dfa: Dfa):
+        n, m = dfa.n, dfa.m
+        width = 2 * n
+        # Letter a's images sit at bits fields[a] = a·2n + n and up.
+        self._fields = range(n, n + m * width, width)
+        # Every field's high half set: that half's mask times the m-digit
+        # repunit in base 2**width.
+        self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
+        self._memo: dict[int, tuple[int, int]] = {}
+        super().__init__(dfa)
+
+    def _chunk_image(self, cb: int) -> tuple[int, int]:
+        """Fill and return ``_memo[cb]``: (image, states hit twice) of the
+        states that ``cb`` marks, all letters.
+
+        Letter a's image of state p is bit ``delta[p][a] + _fields[a]``.
+        """
+        delta = self._dfa.delta
+        rows = []
+        byte, p = cb & 255, (cb >> 8) << 3
+        while byte:
+            if byte & 1:
+                rows.append(delta[p])
+            byte >>= 1
+            p += 1
+        image = twice = 0
+        for a, f in enumerate(self._fields):
+            im = tw = 0
+            for row in rows:
+                bit = 1 << row[a]
+                tw |= im & bit
+                im |= bit
+            image |= im << f
+            twice |= tw << f
+        self._memo[cb] = image, twice
+        return image, twice
+
     def _walk_next_defect(self) -> None:
         """Keep the waiting words of the next defect, in shortlex order."""
         kept: list[_Entry] = []
         heap = self._waiting[len(self._by_defect)]
         self._by_defect.append(kept)
-        if not heap:
+        if not heap:  # skip the set-up: most small random automata stop here
             return
-        n, delta, fields, memo = self._n, self._delta, self._fields, self._memo
+        n, memo, high = self._n, self._memo, self._high
         best, waiting, letters = self._best, self._waiting, self._letters
-        high = self._high
         full = (1 << n) - 1
         width = 2 * n
         field = (1 << width) - 1
         m = len(letters)
         nbytes = (n + 7) >> 3
         chunks = range(0, nbytes << 8, 256)
+        fill = self._chunk_image
         # excl_keys[excl] is high ^ image(alive): every letter's child excl
         # set, filled by the excl set's least word.
         excl_keys: dict[int, int] = {}
@@ -285,27 +271,18 @@ class PairWordSet(CanonicalWordSet):
                 ):
                     if alive:
                         cb = c | alive
-                        hit = memo.get(cb)
-                        if hit is None:
-                            hit = memo[cb] = _chunk_image(delta, fields, cb)
-                        i, t = hit
+                        i, t = memo.get(cb) or fill(cb)
                         twice |= t | (image & i)
                         image |= i
                         if dupl:
                             cb = c | dupl
-                            hit = memo.get(cb)
-                            if hit is None:
-                                hit = memo[cb] = _chunk_image(delta, fields, cb)
-                            twice |= hit[0]
+                            twice |= (memo.get(cb) or fill(cb))[0]
                 keys = excl_keys[em] = high ^ image
             else:  # the held states' images are the children's
                 for c, dupl in zip(chunks, dm.to_bytes(nbytes, "little")):
                     if dupl:
                         cb = c | dupl
-                        hit = memo.get(cb)
-                        if hit is None:
-                            hit = memo[cb] = _chunk_image(delta, fields, cb)
-                        twice |= hit[0]
+                        twice |= (memo.get(cb) or fill(cb))[0]
             keys |= twice >> n
             ccode = code * m
             for letter in letters:
