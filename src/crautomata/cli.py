@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dfa(path: str) -> Dfa:
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_text(encoding="utf-8-sig")
     if raw.lstrip().startswith("{"):
         try:
             doc = json.loads(raw)

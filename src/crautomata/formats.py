@@ -40,7 +40,7 @@ def parse_decimal(token: str) -> int:
 def parse_dfa(text: str | bytes) -> Dfa:
     """Parse the line-based text format; diagnostics carry 1-based line numbers."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     lines = [
         (i, line.strip())
         for i, line in enumerate(text.splitlines(), start=1)

@@ -197,6 +197,22 @@ def test_analyze_reads_json_documents(tmp_path, capsys):
     assert run_cli(["analyze", str(path)]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys, fmt):
+    from crautomata import dfa_to_doc
+
+    dfa = e_family(4, 3, drop_last_b=True)
+    body = serialize_dfa(dfa) if fmt == "text" else json.dumps(dfa_to_doc(dfa))
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli(["--format", "json", "analyze", str(plain)]) == 1
+    want = capsys.readouterr()
+    assert run_cli(["--format", "json", "analyze", str(marked)]) == 1
+    assert capsys.readouterr() == want
+
+
 def test_gamma_writes_dot_and_json(tmp_path, capsys):
     source = write_dfa(tmp_path, fixed_example("e5"))
     dots = tmp_path / "dots"

@@ -38,6 +38,11 @@ def test_parse_accepts_bytes_comments_blanks():
     assert d == Dfa(3, ("a", "b"), ((1, 2), (2, 0), (0, 1)))
 
 
+def test_parse_bytes_skips_a_byte_order_mark():
+    text = serialize_dfa(cerny(4))
+    assert parse_dfa(b"\xef\xbb\xbf" + text.encode("utf-8")) == cerny(4)
+
+
 def test_parse_one_state():
     assert parse_dfa("states 1\nalphabet a\n0\n") == Dfa(1, ("a",), ((0,),))
 
