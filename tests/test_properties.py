@@ -1,5 +1,5 @@
 """Randomized invariants: composition of signatures, defect algebra, and the
-canonical word set's structural guarantees."""
+structural guarantees of both canonical walks."""
 
 import math
 import random
@@ -15,7 +15,7 @@ from crautomata import (
     extend_excl_dupl,
     preimage_table,
 )
-from crautomata.canonical import CanonicalWordSet
+from crautomata.canonical import CanonicalWordSet, PairWordSet
 
 LETTERS = tuple("abcdefgh")
 
@@ -95,17 +95,24 @@ def test_signature_shape(bundle):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(dfa_and_two_words(), st.integers(1, 3))
 def test_canonical_set_closure_and_size(bundle, cap):
+    # build_gamma's reading of the pair walk rests on its prefix closure too
     d, _, _ = bundle
     cap = min(cap, d.n - 1)
-    cws = CanonicalWordSet(d)
-    cws.grow(cap)
-    words = {w for w, _ in cws.entries}
-    assert () in words
-    for w in words:
-        if w:
-            assert w[:-1] in words  # prefix of a canonical word is canonical
-    for k in range(1, cap + 1):
-        count = len(cws.signatures_of_defect(k))
-        assert count < math.comb(d.n, k) ** 2
-    for w, pair in cws.entries:
-        assert pair == excl_dupl(d, w)
+    for walk in (CanonicalWordSet, PairWordSet):
+        cws = walk(d)
+        cws.grow(cap)
+        words = {w for w, _ in cws.entries}
+        assert () in words
+        for w in words:
+            if w:
+                assert w[:-1] in words, walk  # prefix of a kept word is kept
+        for k in range(1, cap + 1):
+            count = len(cws.signatures_of_defect(k))
+            assert count < math.comb(d.n, k) ** 2
+        for w, pair in cws.entries:
+            whole = excl_dupl(d, w)
+            if walk is CanonicalWordSet:
+                assert pair == whole
+            else:  # a pair entry's dupl set is the states it holds
+                assert pair.excl == whole.excl
+                assert pair.dupl.issubset(whole.dupl)
