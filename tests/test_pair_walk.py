@@ -2,9 +2,12 @@
 
 ``PairWordSet`` keeps the least word of every (excl, duplicate state) pair;
 ``CanonicalWordSet`` keeps the least word of every whole (excl, dupl)
-signature and stays as the reference.  One corpus serves both checks: the
-kept words are exactly the pairs' least words, and levels built from whole
-signatures are the levels ``build_gamma`` builds from pairs.
+signature, stepping state by state through ``extend_excl_dupl``, and
+stays as the reference.  One corpus serves both checks: the kept words are
+exactly the pairs' least words, and levels built from whole signatures are
+the levels ``build_gamma`` builds from pairs.  The first check also runs
+on automata of up to nine 8-state chunks, and is the only check of the
+pair walk's chunk kernel against an independent walk.
 """
 
 import random
@@ -37,10 +40,20 @@ def corpus():
     return dfas
 
 
+def walk_inputs():
+    """(automaton, defect cap): the corpus at cap n - 1, then automata past
+    two 8-state chunks, where the pair walk's chunk kernel ORs three or more
+    chunk images.  A uniform draw past 16 states rarely has a word of
+    defect 2; random_dfa(18, 2, 7123) has 45 signatures of defect 2 but only
+    9 pair entries, 5 of them holding several states."""
+    inputs = [(dfa, max(dfa.n - 1, 0)) for dfa in corpus()]
+    inputs += [(cerny(33), 1), (cerny(65), 1), (random_dfa(18, 2, 7123), 2)]
+    return inputs
+
+
 def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
     multi = 0  # entries holding several duplicate states
-    for dfa in corpus():
-        cap = max(dfa.n - 1, 0)
+    for dfa, cap in walk_inputs():
         signatures = CanonicalWordSet(dfa)
         signatures.grow(cap)
         pairs = PairWordSet(dfa)
