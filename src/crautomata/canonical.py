@@ -263,7 +263,9 @@ class PairWordSet(CanonicalWordSet):
             image = twice = 0
             if keys is None:
                 # The least word of its excl set: dm is its whole dupl set,
-                # and its children add the states hit twice from alive.
+                # and its children add the states hit twice from alive.  dupl
+                # lies inside alive, so a chunk without alive states has no
+                # dupl states either.
                 for c, alive, dupl in zip(
                     chunks,
                     (full ^ em).to_bytes(nbytes, "little"),
