@@ -38,9 +38,14 @@ def parse_decimal(token: str) -> int:
 
 
 def parse_dfa(text: str | bytes) -> Dfa:
-    """Parse the line-based text format; diagnostics carry 1-based line numbers."""
+    """Parse the line-based text format; diagnostics carry 1-based line numbers.
+
+    One leading byte-order mark is skipped, in bytes and in a ``str`` alike.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8-sig")
+    else:
+        text = text.removeprefix("\ufeff")
     lines = [
         (i, line.strip())
         for i, line in enumerate(text.splitlines(), start=1)

@@ -43,6 +43,13 @@ def test_parse_bytes_skips_a_byte_order_mark():
     assert parse_dfa(b"\xef\xbb\xbf" + text.encode("utf-8")) == cerny(4)
 
 
+def test_parse_str_skips_a_byte_order_mark():
+    # What a BOM-prefixed file read with encoding="utf-8" gives.
+    assert parse_dfa("\ufeffstates 1\nalphabet a\n0\n") == Dfa(1, ("a",), ((0,),))
+    with pytest.raises(ValueError, match="line 1"):
+        parse_dfa("\ufeff\ufeffstates 1\nalphabet a\n0\n")
+
+
 def test_parse_one_state():
     assert parse_dfa("states 1\nalphabet a\n0\n") == Dfa(1, ("a",), ((0,),))
 
