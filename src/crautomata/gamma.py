@@ -96,8 +96,9 @@ class GammaLevel:
 
     ``vertices[i]`` is the forest node behind graph vertex i.  ``forcing``
     maps each freshly forced edge to the shortlex-least word of defect
-    ``level`` forcing it; ``inherited`` marks the condensation-induced edges.
-    An edge may be both inherited and freshly forced.
+    ``level`` forcing it, inserted in (len(w), w, edge) order, which
+    ``reach_word`` relies on; ``inherited`` marks the condensation-induced
+    edges.  An edge may be both inherited and freshly forced.
     """
 
     level: int
@@ -158,7 +159,8 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             src = owner[em.bit_length() - 1]
             if em & ~leaf[src]:
                 continue
-            # Sorted, so edges enter ``forcing`` in cluster order.
+            # Words come in shortlex order and each edge keeps its first, so
+            # sorting puts ``forcing`` in (len(w), w, edge) order.
             for dst in sorted({owner[q] for q in iter_bits(dm)}):
                 if dst != src:
                     edge = (src, dst)

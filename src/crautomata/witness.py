@@ -1,16 +1,22 @@
 """Constructive reachability: a word mapping Q onto any requested subset.
 
-Works backwards from the target.  At each round, find the least hierarchy
-level with an edge penetrating the current target (source cluster outside,
-target cluster inside); such an edge is always freshly forced there, and its
-word w lets the target be rewritten as the image of a strictly larger set:
-the full w-preimage of one duplicate state plus one chosen preimage of every
-other target state.  Each round reads the duplicate states and that larger
-set off the preimage masks of w's transformation.  Rounds repeat until the
-larger set is Q; the final word is the concatenation of the step words,
-outermost round first.  One call reads each level's leafage masks and sorts
-its edges once, and builds each distinct word's preimage masks once,
-however many rounds use it.
+Works backwards from the target.  An edge penetrates the target when its
+source cluster meets the outside and its target cluster lies inside.  Each
+round takes the least level with a penetrating edge, and there the edge
+whose forcing word w is shortest, then shortlex-least, ties broken by edge.
+The target is the w-image of a strictly larger set: the full w-preimage of
+one duplicate state plus one preimage of every other target state, read off
+the preimage masks of w's transformation.  Rounds repeat until that set is
+Q; the word is the concatenation of the step words, outermost round first.
+
+``build_gamma`` inserts ``forcing`` in (len(w), w, edge) order, so a round
+takes a level's first penetrating entry and nothing is sorted.  Inherited
+edges need no scan: at the least penetrating level L, every penetrating
+edge is freshly forced.  An inherited C -> D comes from a level-(L-1) edge
+c -> d with d inside the target.  Either c meets the outside, or the
+strongly connected C has a path to c from a vertex that does, and an edge
+of that path penetrates; so level L-1 has a penetrating edge, against the
+choice of L.  Each distinct word's preimage masks are built once per call.
 """
 
 from __future__ import annotations
@@ -97,44 +103,30 @@ def reach_word(
         [result.forest.leafage_mask(nid) for nid in level.vertices]
         for level in result.levels
     ]
-    ordered = [sorted(level.graph.edges) for level in result.levels]
     preimages: dict[Word, list[int]] = {}
     current = p.mask
     rounds: list[ReachStep] = []
     while current != full:
-        # ``out`` holds the states outside the target.  The edges are sorted,
-        # so the first penetrating edge is the least one.
-        out = ~current
-        for level, leaf, edges in zip(result.levels, leaves, ordered):
-            edge = next(
-                (e for e in edges if leaf[e[0]] & out and not leaf[e[1]] & out), None
-            )
-            if edge is not None:
-                break
-        else:
+        out = ~current  # the states outside the target
+        found = next(
+            (
+                (level, leaf, e, w)
+                for level, leaf in zip(result.levels, leaves)
+                for e, w in level.forcing.items()
+                if leaf[e[0]] & out and not leaf[e[1]] & out
+            ),
+            None,
+        )
+        if found is None:
             raise RuntimeError("no penetrating edge found; hierarchy is inconsistent")
-        w = level.forcing.get(edge)
-        if w is None:
-            raise RuntimeError(
-                "penetrating edge at the least level must be freshly forced"
-            )
+        level, leaf, edge, w = found
         pre = preimages.get(w)
         if pre is None:
             pre = preimages[w] = preimage_masks(transformation_of(dfa, w))
         source = _expand(pre, current, leaf[edge[1]])
-        rounds.append(
-            ReachStep(
-                level.level,
-                edge,
-                w,
-                StateSet.from_mask(source),
-                StateSet.from_mask(current),
-            )
-        )
+        before, after = StateSet.from_mask(source), StateSet.from_mask(current)
+        rounds.append(ReachStep(level.level, edge, w, before, after))
         current = source
 
-    steps = list(reversed(rounds))
-    word: Word = ()
-    for step in steps:
-        word += step.word
-    return word, steps
+    steps = rounds[::-1]
+    return tuple(a for step in steps for a in step.word), steps

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
     ClusterForest,
@@ -257,3 +260,59 @@ def test_decision_matches_oracle_on_random_sample():
         d = random_dfa(3 + seed % 5, 1 + seed % 3, seed)
         got, _ = decide_complete_reachability(d)
         assert got == is_cr_bruteforce(d), seed
+
+
+def hierarchy_corpus():
+    """Shallow and deep hierarchies of both outcomes: random draws, Cerny
+    automata, every E family member with n <= 10 and its failing twin, and
+    cycle + idempotent members."""
+    rng = random.Random(15)
+    dfas = [
+        random_dfa(rng.randint(2, 9), rng.randint(1, 3), 20000 + i) for i in range(400)
+    ]
+    dfas += [cerny(n) for n in (*range(2, 12), 33)]
+    for n in range(3, 11):
+        dfas += [e_family(n, k) for k in range(2, n)]
+        dfas.append(e_family(n, n - 1, drop_last_b=True))
+    dfas += [cycle_idempotent(n, d, rng) for n in range(2, 12) for d in range(1, n)]
+    return dfas
+
+
+def test_forcing_is_in_word_order():
+    # reach_word takes a level's first penetrating entry as the one with the
+    # shortest, then shortlex-least, forcing word.
+    for dfa in hierarchy_corpus():
+        for level in build_gamma(dfa).levels:
+            items = list(level.forcing.items())
+            assert items == sorted(items, key=lambda it: (len(it[1]), it[1], it[0]))
+
+
+def test_least_penetrating_level_forces_all_its_penetrating_edges():
+    # The witness docstring's argument: an inherited edge penetrating the
+    # target at level L implies a penetrating edge at level L - 1.
+    rng = random.Random(16)
+    checked = 0
+    for dfa in hierarchy_corpus():
+        result = build_gamma(dfa)
+        full = (1 << dfa.n) - 1
+        if dfa.n <= 6:
+            targets = range(1, full)
+        else:
+            targets = [rng.randrange(1, full) for _ in range(20)]
+        for target in targets:
+            out = full & ~target
+            for level in result.levels:
+                leaf = [result.forest.leafage_mask(nid) for nid in level.vertices]
+                penetrating = {
+                    (s, t)
+                    for s, t in level.graph.edges
+                    if leaf[s] & out and not leaf[t] & out
+                }
+                if penetrating:
+                    assert penetrating <= level.forcing.keys()
+                    checked += 1
+                    break
+            else:
+                # On SUCCESS every proper target has a penetrating edge.
+                assert not result.success
+    assert checked > 3000

@@ -109,10 +109,10 @@ def _digest(family, records=_records):
 
 
 GOLDEN = {
-    "random": "053dde74d01f009b34e7e0f8f5fa010c95924d13da2067951aec8d894ce9d754",
-    "cerny": "fd9aa22bf71462aea8adf0fa6f76c8fe123fd75f6f8a4256dd2ae9cec5dc3545",
-    "e_family": "eb6acf53e7884516bad397f1ed2db4445e31c5c2e268e2fa4ffe32167deffa01",
-    "fixtures": "10bf8d000a4f4e6df618addb0c8d4b8fac177ca194dde79a3912cf15c6e4d602",
+    "random": "c2ac41f77979491534eeeedd1044bf679c639e54edc5f72c22a8b6ab78e1f378",
+    "cerny": "e870dc0e21ae47c3129768db14c3a30ed9bfc90798c89d15bfd57f65c4a076fa",
+    "e_family": "6727f9184c605e3fe4fda80b413b5451392cd3e5175c6be7e45dcc209776447e",
+    "fixtures": "47029717596f3812de3e37d98deca6f5109f74d29534db9963fd260e413b3246",
 }
 
 
@@ -210,15 +210,15 @@ HIERARCHIES = {
     ),
     "e_family(9, 4)": (
         lambda: e_family(9, 4),
-        "f46f7e9712105ec9b4910091f65f6a87d0c653dc10de87f5766ffff22fe1d4eb",
+        "2bb9aa4a1e32b1d4960afd8d19861bfafcfbe48f81a1f022ba71e31f220e60cc",
     ),
     "e_family(10, 5)": (
         lambda: e_family(10, 5),
-        "bf72ca3c95eb43a98bd7f06651e75d0c10e2e34a6630cc6bb470bfd5a8ac7b8b",
+        "123dac6db0d774e0531d4fc57cc5b03d30f54be8496427967966885b89de1948",
     ),
     "cerny(33)": (
         lambda: cerny(33),
-        "2d67012e2ee431a0ab8f6b808fe9666c7a74cf3c0fbb7a35f8e2337d387be01f",
+        "15766848494dbe2bb117337e97c484b24107b245be46e7b32154b3b32714816d",
     ),
 }
 

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
     Dfa,
@@ -6,6 +9,7 @@ from crautomata import (
     apply_word,
     build_gamma,
     cerny,
+    e_family,
     excl_dupl,
     fixed_example,
     powerset_reach_map,
@@ -139,3 +143,46 @@ def test_reach_word_singleton_via_sync():
     word, steps = reach_word(e12, result, StateSet([0]))
     assert apply_word(e12, StateSet.full(12), word) == StateSet([0])
     assert all(st.level <= result.terminal_step for st in steps)
+
+
+def assert_reach_words_within_bound(dfa, result, targets):
+    """Q . w = P and |w| <= 2n(n - k) for each k-subset P in ``targets``.
+
+    Ferens and Szykula give 2n(n - k) as an upper bound on the shortest
+    such word in a completely reachable automaton.
+    """
+    n = dfa.n
+    q = StateSet.full(n)
+    for mask in targets:
+        word, _ = reach_word(dfa, result, StateSet.from_mask(mask))
+        assert apply_word(dfa, q, word).mask == mask
+        assert len(word) <= 2 * n * (n - mask.bit_count()), (dfa, mask)
+
+
+def test_reach_word_length_bound_on_every_subset():
+    rng = random.Random(3)
+    dfas = [random_dfa(3 + i % 6, 2 + i % 2, 50000 + i) for i in range(300)]
+    dfas += [cerny(n) for n in range(2, 11)]
+    dfas += [e_family(n, k) for n in range(3, 10) for k in range(2, n)]
+    dfas.append(e_family(10, 9))
+    dfas += [cycle_idempotent(n, d, rng) for n in range(2, 11) for d in (1, 2, 3)[: n - 1]]
+    checked = 0
+    for dfa in dfas:
+        result = build_gamma(dfa)
+        if result.success:
+            assert_reach_words_within_bound(dfa, result, range(1, (1 << dfa.n) - 1))
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("n, d", [(64, 1), (64, 5), (128, 3)])
+def test_reach_word_length_bound_on_large_cycles(n, d):
+    dfa = cycle_idempotent(n, d, random.Random(n + d))
+    result = build_gamma(dfa)
+    assert result.success
+    rng = random.Random(n * d)
+    targets = []
+    for _ in range(20):
+        states = rng.sample(range(n), rng.randint(1, n - 1))
+        targets.append(sum(1 << q for q in states))
+    assert_reach_words_within_bound(dfa, result, targets)
