@@ -165,7 +165,9 @@ def test_reach_word_length_bound_on_every_subset():
     dfas += [cerny(n) for n in range(2, 11)]
     dfas += [e_family(n, k) for n in range(3, 10) for k in range(2, n)]
     dfas.append(e_family(10, 9))
-    dfas += [cycle_idempotent(n, d, rng) for n in range(2, 11) for d in (1, 2, 3)[: n - 1]]
+    dfas += [
+        cycle_idempotent(n, d, rng) for n in range(2, 11) for d in range(1, min(n, 4))
+    ]
     checked = 0
     for dfa in dfas:
         result = build_gamma(dfa)
