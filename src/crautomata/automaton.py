@@ -12,9 +12,6 @@ at bits a·n; ``packed_preimages`` holds the preimages the same way.
 ``step_all`` ORs one entry per chunk, so a set's images under all m letters
 cost one lookup per chunk instead of m loops over its states.  Chunk c's
 table is filled whole, 2^min(8, n - 8c) entries, and cached per automaton.
-The pair walk (``canonical.PairWordSet``) keeps its own memo, filled an
-entry at a time: it also needs the states hit twice, and on small automata
-it reads few of the entries a whole fill would build.
 """
 
 from __future__ import annotations

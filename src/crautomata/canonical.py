@@ -53,14 +53,13 @@ entry adds the states hit twice from alive to its children and stores the
 packed child excl sets; each later entry of X reads them back and passes
 on only the image of the states it holds.
 
-The pair walk reads images eight states at a time and for every letter at
-once: letter a owns the 2n bits from a·2n on, and ``_memo`` maps ``chunk
-<< 8 | byte`` to the pair (image, states hit twice) of the states that the
-byte marks in that chunk, with letter a's images in the high n bits of its
-field; an entry is filled the first time a walk needs it.  Across chunks a
-state is hit twice when two chunks both reach it.  Then ``(_high ^ image)
-| twice >> n``, with ``_high`` all ones in every high half, holds letter
-a's child signature ``excl << n | dupl`` in its field.
+The pair walk steps every letter at once: letter a owns the 2n bits from
+a·2n on, and ``_rows[p]`` holds every letter's image of state p in the
+high n bits of its field.  ORing the rows of alive gives its image, and a
+row that meets the image of the states before it marks states hit twice.
+Then ``(_high ^ image) | twice >> n``, with ``_high`` all ones in every
+high half, holds letter a's child signature ``excl << n | dupl`` in its
+field.
 """
 
 from __future__ import annotations
@@ -187,39 +186,15 @@ class PairWordSet(CanonicalWordSet):
     def __init__(self, dfa: Dfa):
         n, m = dfa.n, dfa.m
         width = 2 * n
-        # Letter a's images sit at bits fields[a] = a·2n + n and up.
-        self._fields = range(n, n + m * width, width)
+        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n.
+        self._rows = [
+            sum(1 << (q + a * width + n) for a, q in enumerate(row))
+            for row in dfa.delta
+        ]
         # Every field's high half set: that half's mask times the m-digit
         # repunit in base 2**width.
         self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
-        self._memo: dict[int, tuple[int, int]] = {}
         super().__init__(dfa)
-
-    def _chunk_image(self, cb: int) -> tuple[int, int]:
-        """Fill and return ``_memo[cb]``: (image, states hit twice) of the
-        states that ``cb`` marks, all letters.
-
-        Letter a's image of state p is bit ``delta[p][a] + _fields[a]``.
-        """
-        delta = self._dfa.delta
-        rows = []
-        byte, p = cb & 255, (cb >> 8) << 3
-        while byte:
-            if byte & 1:
-                rows.append(delta[p])
-            byte >>= 1
-            p += 1
-        image = twice = 0
-        for a, f in enumerate(self._fields):
-            im = tw = 0
-            for row in rows:
-                bit = 1 << row[a]
-                tw |= im & bit
-                im |= bit
-            image |= im << f
-            twice |= tw << f
-        self._memo[cb] = image, twice
-        return image, twice
 
     def _walk_next_defect(self) -> None:
         """Keep the waiting words of the next defect, in shortlex order."""
@@ -228,15 +203,12 @@ class PairWordSet(CanonicalWordSet):
         self._by_defect.append(kept)
         if not heap:  # skip the set-up: most small random automata stop here
             return
-        n, memo, high = self._n, self._memo, self._high
+        n, rows, high = self._n, self._rows, self._high
         best, waiting, letters = self._best, self._waiting, self._letters
         full = (1 << n) - 1
         width = 2 * n
         field = (1 << width) - 1
         m = len(letters)
-        nbytes = (n + 7) >> 3
-        chunks = range(0, nbytes << 8, 256)
-        fill = self._chunk_image
         # excl_keys[excl] is high ^ image(alive): every letter's child excl
         # set, filled by the excl set's least word.
         excl_keys: dict[int, int] = {}
@@ -260,31 +232,24 @@ class PairWordSet(CanonicalWordSet):
             em = key >> n
             kept.append((w, em, dm))
             keys = excl_keys.get(em)
-            image = twice = 0
+            twice = 0
             if keys is None:
                 # The least word of its excl set: dm is its whole dupl set,
-                # and its children add the states hit twice from alive.  dupl
-                # lies inside alive, so a chunk without alive states has no
-                # dupl states either.
-                for c, alive, dupl in zip(
-                    chunks,
-                    (full ^ em).to_bytes(nbytes, "little"),
-                    dm.to_bytes(nbytes, "little"),
-                ):
-                    if alive:
-                        cb = c | alive
-                        i, t = memo.get(cb) or fill(cb)
-                        twice |= t | (image & i)
-                        image |= i
-                        if dupl:
-                            cb = c | dupl
-                            twice |= (memo.get(cb) or fill(cb))[0]
+                # and its children add the states hit twice from alive.
+                image, rest = 0, full ^ em
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    row = rows[bit.bit_length() - 1]
+                    twice |= image & row
+                    image |= row
                 keys = excl_keys[em] = high ^ image
-            else:  # the held states' images are the children's
-                for c, dupl in zip(chunks, dm.to_bytes(nbytes, "little")):
-                    if dupl:
-                        cb = c | dupl
-                        twice |= (memo.get(cb) or fill(cb))[0]
+            # The held states' images join every child's dupl set.
+            rest = dm
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                twice |= rows[bit.bit_length() - 1]
             keys |= twice >> n
             ccode = code * m
             for letter in letters:

@@ -118,6 +118,17 @@ def parse_dfa(text: str | bytes) -> Dfa:
 
 
 def serialize_dfa(dfa: Dfa) -> str:
+    """Write ``dfa`` in the text format, which ``parse_dfa`` reads back.
+
+    A letter name holding whitespace is refused: the alphabet line is split
+    at whitespace.
+    """
+    for name in dfa.alphabet:
+        if any(c.isspace() for c in name):
+            raise ValueError(
+                f"letter name {name!r} holds whitespace, which the text format "
+                "cannot write"
+            )
     rows = "\n".join(" ".join(str(t) for t in row) for row in dfa.delta)
     return f"states {dfa.n}\nalphabet {' '.join(dfa.alphabet)}\n{rows}\n"
 

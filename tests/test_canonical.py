@@ -217,8 +217,8 @@ def test_xd_pairs_empty_and_top_state_never_duplicate():
 
 
 def test_walk_matches_per_state_reference_across_chunks():
-    # The walk reads state sets eight states at a time; these automata have
-    # 9 to 65 states, so their sets span two to nine chunks.
+    # These automata have 9 to 65 states, so their masks run past a byte
+    # and, for cerny(65), past 64 bits.
     cases = [(e_family(10, 9), 9), (fixed_example("e12"), 2)]
     for n in (9, 12, 16, 17, 20):
         for seed in range(2):
@@ -240,10 +240,9 @@ def test_walk_matches_per_state_reference_across_chunks():
 
 
 def test_walk_matches_per_state_reference_on_wide_and_unary_alphabets():
-    # The walk packs one field per letter into each chunk's memo entry and
-    # ranks words by their bijective base-m numeral.  With 260 letters there
-    # are more than 256 fields, and letter 259's digit, 260, needs more than
-    # a byte: a byte per letter would rank (a, 259) after (a + 1, 0).
+    # The walk ranks words by their bijective base-m numeral.  With 260
+    # letters, letter 259's digit, 260, needs more than a byte: a byte per
+    # letter would rank (a, 259) after (a + 1, 0).
     n, m = 5, 260
     rotate = tuple((p + 1) % n for p in range(n))
     swap = (1, 0, *range(2, n))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,13 @@ from crautomata.formats import format_states, format_word
 def test_round_trip_fixtures():
     for d in (fixed_example("e5"), cerny(4), random_dfa(6, 3, 77)):
         assert parse_dfa(serialize_dfa(d)) == d
+
+
+def test_serialize_refuses_a_letter_name_with_whitespace():
+    for name in ("a b", "a\tb", "a\nb", "a\u2028b"):
+        d = Dfa(2, (name, "c"), ((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            serialize_dfa(d)
 
 
 def test_parse_accepts_bytes_comments_blanks():

@@ -21,8 +21,8 @@ insertion order, with reach words for the n prefix sets and the n
 singletons.
 
 A refactor must leave every digest unchanged.  A deliberate change of
-output (such as ROADMAP item 3, shorter reach words) updates the digests
-here and lists the changed families in ``CHANGES.md``.
+output (such as the shorter reach words that re-pinned seven digests)
+updates the digests here and lists the changed families in ``CHANGES.md``.
 """
 
 import hashlib
@@ -135,10 +135,10 @@ def test_oracle_digest(family):
 
 
 # name -> (automaton, defect cap, {walk: digest of the per-defect lists}).
-# cerny(65) spans nine 8-state chunks and its defect-1 words run to 191
-# letters; random_dfa(16, 2, 102) is a rare draw with a thousand signatures
-# by defect 3, and the only one here where the pair walk keeps fewer words
-# than the signature walk.
+# cerny(65) has 65-bit masks and its defect-1 words run to 191 letters;
+# random_dfa(16, 2, 102) is a rare draw with a thousand signatures by
+# defect 3, and the only one here where the pair walk keeps fewer words than
+# the signature walk.
 WALKS = {
     "e_family(12, 11)": (
         lambda: e_family(12, 11),

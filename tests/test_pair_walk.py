@@ -6,8 +6,9 @@ signature, stepping state by state through ``extend_excl_dupl``, and
 stays as the reference.  One corpus serves both checks: the kept words are
 exactly the pairs' least words, and levels built from whole signatures are
 the levels ``build_gamma`` builds from pairs.  The first check also runs
-on automata of up to nine 8-state chunks, and is the only check of the
-pair walk's chunk kernel against an independent walk.
+on automata of up to 65 states, on 260 letters and on one letter, and is
+the only check of the pair walk's packed letter rows against an
+independent walk.
 """
 
 import random
@@ -17,6 +18,7 @@ from test_synchro_reference import cycle_idempotent
 from crautomata import (
     FAILURE,
     SUCCESS,
+    Dfa,
     SimpleDigraph,
     build_gamma,
     cerny,
@@ -40,13 +42,32 @@ def corpus():
     return dfas
 
 
+def wide_and_unary():
+    """A 260-letter automaton, whose packed keys hold more than 256 fields
+    and whose letter digits need more than a byte, and unary automata, whose
+    codes are word lengths; the same automata as the signature walk's
+    wide and unary alphabet check."""
+    n, m = 5, 260
+    rotate = tuple((p + 1) % n for p in range(n))
+    swap = (1, 0, *range(2, n))
+    merge = (0, 0, *range(2, n))
+    letters = [rotate, swap] + [tuple(range(n))] * (m - 3) + [merge]
+    delta = tuple(tuple(images[p] for images in letters) for p in range(n))
+    dfas = [Dfa(n, tuple(f"x{a}" for a in range(m)), delta)]
+    dfas += [random_dfa(n, 1, 300 + n) for n in range(1, 21)]
+    # A tail 6 -> 7 -> 8 -> 0 into the cycle 0 -> 1 -> ... -> 5 -> 0.
+    tail = tuple(((p + 1) % (6 if p < 6 else 9),) for p in range(9))
+    dfas.append(Dfa(9, ("a",), tail))
+    return dfas
+
+
 def walk_inputs():
-    """(automaton, defect cap): the corpus at cap n - 1, then automata past
-    two 8-state chunks, where the pair walk's chunk kernel ORs three or more
-    chunk images.  A uniform draw past 16 states rarely has a word of
-    defect 2; random_dfa(18, 2, 7123) has 45 signatures of defect 2 but only
-    9 pair entries, 5 of them holding several states."""
-    inputs = [(dfa, max(dfa.n - 1, 0)) for dfa in corpus()]
+    """(automaton, defect cap): the corpus and the wide and unary automata
+    at cap n - 1, then automata of 18 to 65 states.  A uniform draw past 16
+    states rarely has a word of defect 2; random_dfa(18, 2, 7123) has 45
+    signatures of defect 2 but only 9 pair entries, 5 of them holding
+    several states."""
+    inputs = [(dfa, max(dfa.n - 1, 0)) for dfa in corpus() + wide_and_unary()]
     inputs += [(cerny(33), 1), (cerny(65), 1), (random_dfa(18, 2, 7123), 2)]
     return inputs
 
