@@ -35,6 +35,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 def mask_of(states: Iterable[int]) -> int:
     mask = 0
     for q in states:
+        if not _is_int(q):
+            raise ValueError(f"state index {q!r} is not an integer")
         if q < 0:
             raise ValueError(f"state index must be non-negative, got {q}")
         mask |= 1 << q
@@ -168,6 +170,8 @@ class Dfa:
         w = tuple(w)
         m = self.m
         for a in w:
+            if not _is_int(a):
+                raise ValueError(f"letter index {a!r} is not an integer")
             if not 0 <= a < m:
                 raise ValueError(f"letter index {a} out of range 0..{m - 1}")
         return w

@@ -46,19 +46,17 @@ def parse_dfa(text: str | bytes) -> Dfa:
         text = text.decode("utf-8-sig")
     else:
         text = text.removeprefix("\ufeff")
-    lines = [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    pos = 0
+    stripped = (line.strip() for line in text.splitlines())
+    payload = (
+        (i, line)
+        for i, line in enumerate(stripped, start=1)
+        if line and not line.startswith("#")
+    )
 
     def next_line(expected: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(payload, None)
+        if item is None:
             raise ValueError(f"unexpected end of input: expected {expected}")
-        item = lines[pos]
-        pos += 1
         return item
 
     lineno, line = next_line("'states <n>'")
@@ -109,8 +107,9 @@ def parse_dfa(text: str | bytes) -> Dfa:
             row.append(target)
         delta.append(tuple(row))
 
-    if pos < len(lines):
-        lineno, line = lines[pos]
+    extra = next(payload, None)
+    if extra is not None:
+        lineno, line = extra
         raise ValueError(
             f"line {lineno}: unexpected content after the transition table: '{line}'"
         )

@@ -55,9 +55,7 @@ class ClusterForest:
         return list(range(self._starts[level - 1], self._starts[level]))
 
     def _id(self, node: int) -> int:
-        # Indexing refuses an id past the last node; refuse a negative one,
-        # which a list would count from the end.
-        if node < 0:
+        if not 0 <= node < len(self._parent):
             raise IndexError(f"no node {node} in a forest of {self.node_count}")
         return node
 
@@ -65,7 +63,7 @@ class ClusterForest:
         return self._parent[self._id(node)]
 
     def level_of(self, node: int) -> int:
-        return bisect_right(self._starts, range(self.node_count)[self._id(node)])
+        return bisect_right(self._starts, self._id(node))
 
     def leafage_mask(self, node: int) -> int:
         return self._leafage[self._id(node)]
@@ -124,21 +122,13 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     """Run the hierarchy until SUCCESS or FAILURE.
 
     The pair walk is grown one defect level at a time, resuming its
-    frontier rather than restarting it.  It keeps, in shortlex order, each
-    defect-k word w that is the least word of a pair (X, q), with excl set
-    X and q in its dupl set, as (w, X, D), D holding every q for which it
-    is.  X fits inside the leafage of at most one cluster (leafages
-    partition the states), and when it does, an edge is forced from that
-    cluster to every other cluster whose leafage meets D; one word may
-    force several edges.  The least word forcing an edge is the least word
-    of (X, q) for each q it duplicates in the target's leafage, so it is
-    kept with those q in D, and D never leaves the word's dupl set: each
-    edge gets the same least word, in the same order, as from whole
-    (excl, dupl) signatures.  X needs no node of its own: every entry kept
-    with excl set X is the least word of some (X, q), and X's least word is
-    the least word of (X, q) for each of its duplicate states, so it is the
-    first entry kept with excl set X.  New forest node i is SCC cluster i,
-    so the cluster ids carry ``owner`` (state -> level-k vertex) and the
+    frontier rather than restarting it; the ``canonical`` module docstring
+    says why its kept words (w, X, D) give every edge its least forcing
+    word.  X fits inside the leafage of at most one cluster (leafages
+    partition the states), and when it does, w forces an edge from that
+    cluster to every other cluster whose leafage meets D; each edge keeps
+    the first word that forces it.  New forest node i is SCC cluster i, so
+    the cluster ids carry ``owner`` (state -> level-k vertex) and the
     condensation up one level.  Levels with no fresh edges and no
     condensation progress are simply iterated past; the leafage test bounds
     the number of steps by n-1.
@@ -163,9 +153,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             # sorting puts ``forcing`` in (len(w), w, edge) order.
             for dst in sorted({owner[q] for q in iter_bits(dm)}):
                 if dst != src:
-                    edge = (src, dst)
-                    if edge not in forcing:
-                        forcing[edge] = w
+                    forcing.setdefault((src, dst), w)
         graph = SimpleDigraph(len(vertices), inherited | set(forcing))
         levels.append(GammaLevel(k, tuple(vertices), graph, forcing, inherited))
         part = strongly_connected_components(graph)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 # Nothing here calls excl_dupl, but bench/tracing.py counts its calls through
 # this module's name, so the name stays bound.
@@ -80,11 +81,15 @@ def avoiding_length_bound(n: int) -> int:
     With n >= 2 states every state is avoidable within n letters.  With one
     state no word avoids it, and ``avoiding_word`` returns None.
     """
+    if n < 1:
+        raise ValueError(f"state count must be at least 1, got {n}")
     return n
 
 
 def halving_length_bound(n: int) -> int:
     """One max-defect letter plus at most ceil(n/2)-1 avoiding words of length n."""
+    if n < 1:
+        raise ValueError(f"state count must be at least 1, got {n}")
     return n * ((n + 1) // 2 - 1) + 1
 
 
@@ -200,13 +205,7 @@ def compress_word(dfa: Dfa, p: StateSet) -> Word | None:
         raise ValueError("state set contains states outside the automaton")
     n = dfa.n
     dist = _pair_distances(dfa)
-    states = list(p)
-    pairs = [
-        (x, y)
-        for i, x in enumerate(states)
-        for y in states[i + 1 :]
-        if dist[x * n + y] > 0
-    ]
+    pairs = [(x, y) for x, y in combinations(p, 2) if dist[x * n + y] > 0]
     if not pairs:
         return None
     length = min(dist[x * n + y] for x, y in pairs)
@@ -237,22 +236,16 @@ def halving_word(dfa: Dfa) -> Word:
     image.  Requires some letter of positive defect, and complete
     reachability for the avoiding words to exist.
     """
-    best_letter = 0
-    best_defect = -1
     n = dfa.n
     full = (1 << n) - 1
     images = step_all(packed_images(dfa), full)
-    for a in range(dfa.m):
-        d = n - (images >> a * n & full).bit_count()
-        if d > best_defect:
-            best_letter = a
-            best_defect = d
-    if best_defect == 0:
+    letter = min(range(dfa.m), key=lambda a: (images >> a * n & full).bit_count())
+    if images >> letter * n & full == full:
         raise ValueError(
             "every letter is a permutation, so no word can shrink the image"
         )
-    w: Word = (best_letter,)
-    trans = tuple(row[best_letter] for row in dfa.delta)
+    w: Word = (letter,)
+    trans = tuple(row[letter] for row in dfa.delta)
     avoiding: dict[int, Word | None] = {}
     while True:
         counts = [0] * dfa.n
@@ -361,8 +354,7 @@ def check_two_letter_properties(
         raise ValueError(f"expected a two-letter automaton, got {dfa.m} letters")
     perm_letters = []
     cycles = []
-    for a in range(dfa.m):
-        t = tuple(dfa.delta[q][a] for q in range(dfa.n))
+    for a, t in enumerate(zip(*dfa.delta)):
         if len(set(t)) != dfa.n:
             continue
         perm_letters.append(a)

@@ -47,6 +47,9 @@ def test_state_set_immutable_and_validated():
         s.mask = 5
     with pytest.raises(ValueError):
         StateSet([-1])
+    for q in (1.5, True):
+        with pytest.raises(ValueError, match=f"state index {q} is not an integer"):
+            StateSet([q])
     with pytest.raises(ValueError, match="non-negative"):
         StateSet.from_mask(-1)
 
@@ -102,6 +105,10 @@ def test_apply_word_errors():
         apply_word(c4, StateSet([7]), (0,))
     with pytest.raises(ValueError):
         apply_word(c4, c4.states(), (5,))
+    c3 = cerny(3)
+    for letter in (1.0, True):
+        with pytest.raises(ValueError, match=f"letter index {letter} is not an int"):
+            apply_word(c3, StateSet([0, 1]), (letter,))
 
 
 def test_transformation_of():

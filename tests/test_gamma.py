@@ -212,6 +212,8 @@ def test_forest_levels_and_their_guards():
     for accessor in (e5.parent_of, e5.level_of, e5.leafage_mask, e5.leafage):
         with pytest.raises(IndexError, match="no node -1 in a forest of 11"):
             accessor(-1)
+        with pytest.raises(IndexError, match="no node 11 in a forest of 11"):
+            accessor(11)
     for level in (0, 4):
         with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
             forest.level_nodes(level)

@@ -33,9 +33,13 @@ def test_bound_formulas_frozen():
         compress_length_bound(6, 1)
     with pytest.raises(ValueError):
         compress_length_bound(6, 7)
-    for bound in (cerny_bound, cubic_reset_bound):
-        with pytest.raises(ValueError, match="at least 1"):
+    for bound in (
+        cerny_bound, cubic_reset_bound, avoiding_length_bound, halving_length_bound
+    ):
+        with pytest.raises(ValueError, match="state count must be at least 1, got 0"):
             bound(0)
+    with pytest.raises(ValueError, match="out of range 2..0"):
+        compress_length_bound(0, 2)
 
 
 def test_cubic_grows_slower_than_cerny_eventually():
