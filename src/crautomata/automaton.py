@@ -16,6 +16,7 @@ table is filled whole, 2^min(8, n - 8c) entries, and cached per automaton.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -70,7 +71,15 @@ class StateSet:
     def __setattr__(self, name, value):
         raise AttributeError("StateSet is immutable")
 
-    def __contains__(self, q: int) -> bool:
+    def __contains__(self, q: object) -> bool:
+        # Answers as a frozenset of the members does: an integral float
+        # equals its int, and anything else that is not an integer is absent.
+        try:
+            q = operator.index(q)
+        except TypeError:
+            if not (isinstance(q, float) and q.is_integer()):
+                return False
+            q = int(q)
         return q >= 0 and (self.mask >> q) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:

@@ -6,25 +6,28 @@ depends only on the signature of what it extends), so the canonical words
 form a tree, walked here from the empty word.  A word whose signature has
 been seen before is rejected together with its whole subtree.
 
-Words over m letters are ranked by an integer code: a1 ... aL has code
+Words over m letters are carried as integer codes: a1 ... aL has code
 (a1 + 1)·m^(L-1) + ... + (aL + 1), its bijective base-m numeral, so
 numeric order on codes is shortlex order and the child w·a has code
-code(w)·m + a + 1.  ``_best`` maps each signature, as the int
-``excl << n | dupl``, to the code of the least word found for it so far.  A
-child is dropped when ``_best`` holds a smaller code; otherwise it becomes
-the signature's best word and waits.
+code(w)·m + a + 1.  The walks never build a word.  A caller that reads
+one asks the walk's ``word`` decoder (``word_decoder``), which builds each
+word from its memoised parent, code (c - 1) // m, and its last letter,
+(c - 1) % m, so every prefix is built once, and only where it is read.
+``_best`` maps each signature, as the int ``excl << n | dupl``, to the
+code of the least word found for it so far.  A child is dropped when
+``_best`` holds a smaller code; otherwise it becomes the signature's best
+word and waits.
 
 Defect never decreases along extensions, so the walk goes one defect at a
 time.  The words of defect k wait in one heap, ``_waiting[k]``, as
-(code, signature, parent word, (letter,)); raising the cap to k pops that
-heap until it is empty, pushing children of defect k onto it as it goes.  A
-child's code is larger than its parent's, so the pops come in shortlex
-order.  A later walk, of a higher defect than the walk that queued a
-signature, can find a smaller code for it; the older entry is then skipped
-when popped, because its code is no longer the signature's best.  So an
-entry popped and not skipped holds the least word with its signature.
-Each word waits at most once, so the codes in a heap are distinct and the
-heap never compares the words.
+(code, signature); raising the cap to k pops that heap until it is empty,
+pushing children of defect k onto it as it goes.  A child's code is larger
+than its parent's, so the pops come in shortlex order.  A later walk, of a
+higher defect than the walk that queued a signature, can find a smaller
+code for it; the older entry is then skipped when popped, because its code
+is no longer the signature's best.  So an entry popped and not skipped
+holds the least word with its signature.  Each word waits at most once, so
+the codes in a heap are distinct and the heap never compares signatures.
 
 A child's signature comes from its parent's alone, by
 ``automaton.extend_excl_dupl``: with alive = Q \\ excl, the child's excl
@@ -33,8 +36,8 @@ alive plus the image of dupl (dupl lies inside alive, so "the a-preimage
 of q meets dupl" is "q lies in dupl·a").  The signature walk applies that
 rule state by state, and serves as the reference for the pair walk below.
 
-Kept words are stored in one list per defect, filled by the one walk of
-that defect, already in shortlex order.
+Kept words are stored as (code, excl mask, dupl mask) in one list per
+defect, filled by the one walk of that defect, already in shortlex order.
 
 ``PairWordSet`` walks the same tree more sparsely: it keeps the least word
 of every pair (X, q), the shortlex-least word whose excl set is X and whose
@@ -65,6 +68,7 @@ field.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable
 from heapq import heappop, heappush
 
 from .automaton import (
@@ -74,11 +78,39 @@ from .automaton import (
     Word,
     extend_excl_dupl,
     preimage_table,
-    shortlex_key,
 )
 
-# (word, excl mask, dupl mask)
-_Entry = tuple[Word, int, int]
+# (code, excl mask, dupl mask)
+_Entry = tuple[int, int, int]
+
+
+def word_decoder(m: int) -> Callable[[int], Word]:
+    """The word behind each shortlex code over m letters, built when read.
+
+    Code c > 0 is the word of code (c - 1) // m followed by the letter
+    (c - 1) % m.  Every word built stays in the memo, so a word is built by
+    one concatenation onto its parent, and each prefix once.
+    """
+    words: dict[int, Word] = {0: ()}
+
+    def decode(code: int) -> Word:
+        word = words.get(code)
+        if word is not None:
+            return word
+        # Ancestors missing from the memo, nearest first, are built first.
+        missing = []
+        parent = (code - 1) // m
+        word = words.get(parent)
+        while word is None:
+            missing.append(parent)
+            parent = (parent - 1) // m
+            word = words.get(parent)
+        for parent in reversed(missing):
+            word = words[parent] = word + ((parent - 1) % m,)
+        word = words[code] = word + ((code - 1) % m,)
+        return word
+
+    return decode
 
 
 class CanonicalWordSet:
@@ -87,17 +119,19 @@ class CanonicalWordSet:
     def __init__(self, dfa: Dfa):
         self._dfa = dfa
         self._n = dfa.n
-        self._letters = [(a,) for a in range(dfa.m)]
+        self._m = dfa.m
+        # word(code) builds the word behind a kept entry's code.
+        self.word = word_decoder(dfa.m)
         # _best[excl << n | dupl] is the code of the least word found with
         # that signature.
         self._best: dict[int, int] = {0: 0}
         # _by_defect[k] holds the kept words of defect k in shortlex order.
         self._by_defect: list[list[_Entry]] = []
-        # _waiting[k] is the heap of (code, signature, parent word, (letter,))
-        # of the words of defect k; an entry whose code is not the
-        # signature's in _best is stale.
-        self._waiting: dict[int, list[tuple[int, int, Word, Word]]]
-        self._waiting = defaultdict(list, {0: [(0, 0, (), ())]})
+        # _waiting[k] is the heap of (code, signature) of the words of
+        # defect k; an entry whose code is not the signature's in _best is
+        # stale.
+        self._waiting: dict[int, list[tuple[int, int]]]
+        self._waiting = defaultdict(list, {0: [(0, 0)]})
         self._walk_next_defect()
 
     @property
@@ -107,13 +141,12 @@ class CanonicalWordSet:
     @property
     def entries(self) -> list[tuple[Word, ExclDuplPair]]:
         """Every kept word with its signature, in shortlex order."""
-        merged = sorted(
-            (e for entries in self._by_defect for e in entries),
-            key=lambda e: shortlex_key(e[0]),
-        )
+        # Codes are distinct and ordered as their words are.
+        merged = sorted(e for entries in self._by_defect for e in entries)
+        word = self.word
         return [
-            (w, ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm)))
-            for w, em, dm in merged
+            (word(code), ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm)))
+            for code, em, dm in merged
         ]
 
     def __len__(self) -> int:
@@ -131,33 +164,32 @@ class CanonicalWordSet:
         self._by_defect.append(kept)
         if not heap:
             return
-        n, dfa = self._n, self._dfa
-        best, waiting, letters = self._best, self._waiting, self._letters
+        n, m, dfa = self._n, self._m, self._dfa
+        best, waiting = self._best, self._waiting
         table = preimage_table(dfa)
         full = (1 << n) - 1
-        m = len(letters)
         while heap:
-            code, key, parent, a = heappop(heap)
+            code, key = heappop(heap)
             if best[key] != code:  # left behind by a smaller word
                 continue
-            w = parent + a
             em, dm = key >> n, key & full
-            kept.append((w, em, dm))
+            kept.append((code, em, dm))
             pair = ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm))
             ccode = code * m
-            for letter in letters:
+            for a in range(m):
                 ccode += 1
-                child = extend_excl_dupl(pair, dfa, letter[0], table)
+                child = extend_excl_dupl(pair, dfa, a, table)
                 ckey = child.excl.mask << n | child.dupl.mask
                 if best.get(ckey, ccode) < ccode:
                     continue
                 best[ckey] = ccode
-                heappush(waiting[child.defect], (ccode, ckey, w, letter))
+                heappush(waiting[child.defect], (ccode, ckey))
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
-        """Raw (word, excl mask, dupl mask) triples of defect exactly k.
+        """Raw (code, excl mask, dupl mask) triples of defect exactly k.
 
         This is the stored list itself, in shortlex order; do not mutate it.
+        ``word(code)`` builds a triple's word.
         """
         if k > self.defect_cap:
             raise ValueError(
@@ -172,10 +204,10 @@ class CanonicalWordSet:
 class PairWordSet(CanonicalWordSet):
     """Least words of the (excl, duplicate state) pairs up to a defect cap.
 
-    A kept entry ``(word, excl mask, held mask)`` says that the word is the
-    least word with that excl set and q in its dupl set, for every q in the
-    held mask, which ``entries`` reports as the dupl set.  The first entry
-    kept for an excl set holds the whole dupl set of its word.  A waiting
+    A kept entry ``(code, excl mask, held mask)`` says that the code's word
+    is the least word with that excl set and q in its dupl set, for every q
+    in the held mask, which ``entries`` reports as the dupl set.  The first
+    entry kept for an excl set holds the whole dupl set of its word.  A waiting
     entry's key is ``excl << n | held``, the held states being those for
     which its word may still be least.  ``_best`` maps each pair, as
     ``excl << n | 1 << q``, to the code of the least word found for it, and
@@ -203,17 +235,16 @@ class PairWordSet(CanonicalWordSet):
         self._by_defect.append(kept)
         if not heap:  # skip the set-up: most small random automata stop here
             return
-        n, rows, high = self._n, self._rows, self._high
-        best, waiting, letters = self._best, self._waiting, self._letters
+        n, m, rows, high = self._n, self._m, self._rows, self._high
+        best, waiting = self._best, self._waiting
         full = (1 << n) - 1
         width = 2 * n
         field = (1 << width) - 1
-        m = len(letters)
         # excl_keys[excl] is high ^ image(alive): every letter's child excl
         # set, filled by the excl set's least word.
         excl_keys: dict[int, int] = {}
         while heap:
-            code, key, parent, a = heappop(heap)
+            code, key = heappop(heap)
             dm = key & full
             # Left behind by a smaller word, or a key with several duplicate
             # states, which is not in _best: keep the pairs whose best code
@@ -228,9 +259,8 @@ class PairWordSet(CanonicalWordSet):
                 if not held:
                     continue
                 dm = held
-            w = parent + a
             em = key >> n
-            kept.append((w, em, dm))
+            kept.append((code, em, dm))
             keys = excl_keys.get(em)
             twice = 0
             if keys is None:
@@ -252,7 +282,7 @@ class PairWordSet(CanonicalWordSet):
                 twice |= rows[bit.bit_length() - 1]
             keys |= twice >> n
             ccode = code * m
-            for letter in letters:
+            for _ in range(m):
                 ccode += 1
                 ckey = keys & field
                 keys >>= width
@@ -272,4 +302,4 @@ class PairWordSet(CanonicalWordSet):
                     ckey = ek | held
                 else:
                     best[ckey] = ccode
-                heappush(waiting[(ckey >> n).bit_count()], (ccode, ckey, w, letter))
+                heappush(waiting[(ckey >> n).bit_count()], (ccode, ckey))

@@ -21,7 +21,7 @@ def format_word(word: Word, alphabet: Sequence[str]) -> str:
     if not word:
         return "ε"
     names = [alphabet[a] for a in word]
-    if all(len(name) == 1 for name in names):
+    if all(len(alphabet[a]) == 1 for a in set(word)):
         return "".join(names)
     return " ".join(names)
 

@@ -10,11 +10,17 @@ with SUCCESS on a strongly connected level and with FAILURE when every new
 cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
 the forest's top level, which holds the terminal level's clusters.
+
+The decision reads only each kept word's excluded set and duplicate states.
+So every forced edge records its word's shortlex code, and ``forcing``
+builds a word only when it is read: the DOT and JSON renderings and
+``reach_word`` read words, the decision and the unreachable witness none.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .automaton import Dfa, StateSet, Word, iter_bits
@@ -49,10 +55,18 @@ class ClusterForest:
     def node_count(self) -> int:
         return len(self._parent)
 
-    def level_nodes(self, level: int) -> list[int]:
+    def _level(self, level: int) -> slice:
         if not 1 <= level <= self.level_count:
             raise ValueError(f"no level {level} in a forest of {self.level_count}")
-        return list(range(self._starts[level - 1], self._starts[level]))
+        return slice(self._starts[level - 1], self._starts[level])
+
+    def level_nodes(self, level: int) -> list[int]:
+        ids = self._level(level)
+        return list(range(ids.start, ids.stop))
+
+    def leafage_masks(self, level: int) -> tuple[int, ...]:
+        """The leafage masks of the level's nodes, in id order."""
+        return tuple(self._leafage[self._level(level)])
 
     def _id(self, node: int) -> int:
         if not 0 <= node < len(self._parent):
@@ -88,21 +102,59 @@ class ClusterForest:
         return self.level_nodes(self.level_count)
 
 
+class ForcingWords(Mapping[tuple[int, int], Word]):
+    """A read-only map from forced edges to words held as shortlex codes.
+
+    Reading an item builds its word with ``decode``; ``len``, iteration and
+    ``in`` build none.  Iteration follows the insertion order of ``codes``.
+    """
+
+    __slots__ = ("_codes", "_decode")
+
+    def __init__(
+        self, codes: dict[tuple[int, int], int], decode: Callable[[int], Word]
+    ):
+        self._codes = codes
+        self._decode = decode
+
+    def __getitem__(self, edge: tuple[int, int]) -> Word:
+        return self._decode(self._codes[edge])
+
+    def get(self, edge: tuple[int, int], default: Word | None = None) -> Word | None:
+        code = self._codes.get(edge)
+        return default if code is None else self._decode(code)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._codes)
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._codes
+
+    def __repr__(self) -> str:
+        return f"ForcingWords({dict(self.items())!r})"
+
+
 @dataclass(frozen=True)
 class GammaLevel:
     """One level of the hierarchy.
 
-    ``vertices[i]`` is the forest node behind graph vertex i.  ``forcing``
-    maps each freshly forced edge to the shortlex-least word of defect
-    ``level`` forcing it, inserted in (len(w), w, edge) order, which
-    ``reach_word`` relies on; ``inherited`` marks the condensation-induced
-    edges.  An edge may be both inherited and freshly forced.
+    ``vertices[i]`` is the forest node behind graph vertex i and
+    ``leafage[i]`` the mask of that node's leafage.  ``forcing`` maps each
+    freshly forced edge to the shortlex-least word of defect ``level``
+    forcing it, inserted in (len(w), w, edge) order, which ``reach_word``
+    relies on; it builds a word only when the word is read.  ``inherited``
+    marks the condensation-induced edges.  An edge may be both inherited and
+    freshly forced.
     """
 
     level: int
     vertices: tuple[int, ...]
+    leafage: tuple[int, ...]
     graph: SimpleDigraph
-    forcing: dict[tuple[int, int], Word]
+    forcing: ForcingWords
     inherited: frozenset[tuple[int, int]]
 
 
@@ -127,7 +179,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     word.  X fits inside the leafage of at most one cluster (leafages
     partition the states), and when it does, w forces an edge from that
     cluster to every other cluster whose leafage meets D; each edge keeps
-    the first word that forces it.  New forest node i is SCC cluster i, so
+    the first word that forces it.  Each edge records the code of its word,
+    and the walk's decoder builds the word when ``forcing`` is read, so the
+    decision itself builds no word.  New forest node i is SCC cluster i, so
     the cluster ids carry ``owner`` (state -> level-k vertex) and the
     condensation up one level.  Levels with no fresh edges and no
     condensation progress are simply iterated past; the leafage test bounds
@@ -143,9 +197,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     while True:
         cws.grow(k)
         vertices = forest.level_nodes(k)
-        leaf = [forest.leafage_mask(nid) for nid in vertices]
-        forcing: dict[tuple[int, int], Word] = {}
-        for w, em, dm in cws.signatures_of_defect(k):
+        leaf = forest.leafage_masks(k)
+        codes: dict[tuple[int, int], int] = {}
+        for code, em, dm in cws.signatures_of_defect(k):
             src = owner[em.bit_length() - 1]
             if em & ~leaf[src]:
                 continue
@@ -153,16 +207,15 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             # sorting puts ``forcing`` in (len(w), w, edge) order.
             for dst in sorted({owner[q] for q in iter_bits(dm)}):
                 if dst != src:
-                    forcing.setdefault((src, dst), w)
-        graph = SimpleDigraph(len(vertices), inherited | set(forcing))
-        levels.append(GammaLevel(k, tuple(vertices), graph, forcing, inherited))
+                    codes.setdefault((src, dst), code)
+        graph = SimpleDigraph(len(vertices), inherited | set(codes))
+        forcing = ForcingWords(codes, cws.word)
+        levels.append(GammaLevel(k, tuple(vertices), leaf, graph, forcing, inherited))
         part = strongly_connected_components(graph)
-        new_nodes = forest.add_level(
-            [[vertices[v] for v in cluster] for cluster in part.clusters]
-        )
+        forest.add_level([[vertices[v] for v in cluster] for cluster in part.clusters])
         if len(part.clusters) == 1:
             return GammaResult(SUCCESS, k, tuple(levels), forest)
-        if all(forest.leafage_mask(nid).bit_count() <= k for nid in new_nodes):
+        if all(mask.bit_count() <= k for mask in forest.leafage_masks(k + 1)):
             return GammaResult(FAILURE, k, tuple(levels), forest)
         cid = part.cluster_id
         inherited = frozenset(

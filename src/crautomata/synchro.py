@@ -95,6 +95,8 @@ def halving_length_bound(n: int) -> int:
 
 def compress_length_bound(n: int, k: int) -> int:
     """Shrinking a k-subset of a completely reachable automaton costs at most C(n-k+2, 2)."""
+    if n < 1:
+        raise ValueError(f"state count must be at least 1, got {n}")
     if not 2 <= k <= n:
         raise ValueError(f"subset size {k} out of range 2..{n}")
     return math.comb(n - k + 2, 2)

@@ -10,7 +10,9 @@ the preimage masks of w's transformation.  Rounds repeat until that set is
 Q; the word is the concatenation of the step words, outermost round first.
 
 ``build_gamma`` inserts ``forcing`` in (len(w), w, edge) order, so a round
-takes a level's first penetrating entry and nothing is sorted.  Inherited
+takes a level's first penetrating edge and nothing is sorted.  The scan
+reads edges and the levels' leafage masks only; ``forcing`` holds words as
+shortlex codes, and the round builds the chosen edge's word alone.  Inherited
 edges need no scan: at the least penetrating level L, every penetrating
 edge is freshly forced.  An inherited C -> D comes from a level-(L-1) edge
 c -> d with d inside the target.  Either c meets the outside, or the
@@ -99,10 +101,6 @@ def reach_word(
         raise ValueError("target subset contains states outside the automaton")
 
     full = (1 << dfa.n) - 1
-    leaves = [
-        [result.forest.leafage_mask(nid) for nid in level.vertices]
-        for level in result.levels
-    ]
     preimages: dict[Word, list[int]] = {}
     current = p.mask
     rounds: list[ReachStep] = []
@@ -110,20 +108,21 @@ def reach_word(
         out = ~current  # the states outside the target
         found = next(
             (
-                (level, leaf, e, w)
-                for level, leaf in zip(result.levels, leaves)
-                for e, w in level.forcing.items()
-                if leaf[e[0]] & out and not leaf[e[1]] & out
+                (level, e)
+                for level in result.levels
+                for e in level.forcing
+                if level.leafage[e[0]] & out and not level.leafage[e[1]] & out
             ),
             None,
         )
         if found is None:
             raise RuntimeError("no penetrating edge found; hierarchy is inconsistent")
-        level, leaf, edge, w = found
+        level, edge = found
+        w = level.forcing[edge]
         pre = preimages.get(w)
         if pre is None:
             pre = preimages[w] = preimage_masks(transformation_of(dfa, w))
-        source = _expand(pre, current, leaf[edge[1]])
+        source = _expand(pre, current, level.leafage[edge[1]])
         before, after = StateSet.from_mask(source), StateSet.from_mask(current)
         rounds.append(ReachStep(level.level, edge, w, before, after))
         current = source

@@ -34,6 +34,21 @@ def test_state_set_basics():
     assert repr(s) == "StateSet({0, 3})"
 
 
+def test_state_set_membership_answers_as_a_frozenset():
+    import numpy as np
+
+    s = StateSet([0, 1, 3])
+    probes = [
+        0, 1, 2, 3, 4, -1, 2**70,
+        True, False,
+        0.0, -0.0, 1.0, 1.5, 3.0, -1.0, 1e30, float("inf"), float("nan"),
+        "1", "a", "", None,
+        np.int64(3), np.int64(2), np.float64(1.0), np.float64(0.5),
+    ]
+    for q in probes:
+        assert (q in s) is (q in frozenset(s)), q
+
+
 def test_state_set_algebra():
     a = StateSet([0, 1, 2])
     assert StateSet([1]).issubset(a)

@@ -18,13 +18,18 @@ from crautomata import (
     transition_monoid,
 )
 from crautomata.automaton import shortlex_key, transformation_signature
-from crautomata.canonical import CanonicalWordSet
+from crautomata.canonical import CanonicalWordSet, word_decoder
 
 
 def grown_to(dfa, cap):
     cws = CanonicalWordSet(dfa)
     cws.grow(cap)
     return cws
+
+
+def decoded(cws, k):
+    """The walk's defect-k triples with each code decoded to its word."""
+    return [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
 
 
 def shortlex_signatures(dfa, cap):
@@ -54,15 +59,35 @@ def shortlex_signatures(dfa, cap):
 def assert_matches_reference(dfa, cws, stride=1):
     """Compare with the reference, and apply every stride-th kept word."""
     cap = cws.defect_cap
-    got = [cws.signatures_of_defect(k) for k in range(cap + 1)]
+    got = [decoded(cws, k) for k in range(cap + 1)]
     assert got == shortlex_signatures(dfa, cap), (dfa, cap)
     for w, pair in cws.entries[::stride]:
         assert excl_dupl(dfa, w) == pair
 
 
+def test_word_decoder_inverts_the_shortlex_code():
+    # Code order is shortlex order, and a decoded word is built once: the
+    # decoder hands back the same tuple each time the code is read.
+    for m in (1, 2, 3, 260):
+        letters = sorted({0, 1 % m, m - 1})
+        words = [w for size in range(5) for w in product(letters, repeat=size)]
+        codes = []
+        for w in words:
+            code = 0
+            for a in w:
+                code = code * m + a + 1
+            codes.append(code)
+        by_code = [w for _, w in sorted(zip(codes, words))]
+        assert by_code == sorted(words, key=shortlex_key)
+        decode = word_decoder(m)
+        for code, w in reversed(list(zip(codes, words))):
+            assert decode(code) == w
+            assert decode(code) is decode(code)
+
+
 def test_e5_defect1_is_the_five_letters():
     e5 = fixed_example("e5")
-    entries = grown_to(e5, 1).signatures_of_defect(1)
+    entries = decoded(grown_to(e5, 1), 1)
     assert [w for w, _, _ in entries] == [(0,), (1,), (2,), (3,), (4,)]
     edges = {(em.bit_length() - 1, dm.bit_length() - 1) for _, em, dm in entries}
     assert edges == {(0, 1), (1, 0), (2, 0), (3, 4), (4, 3)}
@@ -73,7 +98,7 @@ def test_epsilon_entry_always_present():
         cws = grown_to(dfa, 1)
         empty = ExclDuplPair(StateSet(), StateSet())
         assert cws.entries[0] == ((), empty)  # shortlex-least overall
-        assert cws.signatures_of_defect(0) == [((), 0, 0)]
+        assert decoded(cws, 0) == [((), 0, 0)]
 
 
 def test_entries_shortlex_sorted_and_unique():
@@ -84,7 +109,7 @@ def test_entries_shortlex_sorted_and_unique():
     assert len(keys) == len(set(keys))
     # each per-defect list is the shortlex-ordered slice of the entries
     for k in range(4):
-        listed = [w for w, _, _ in cws.signatures_of_defect(k)]
+        listed = [w for w, _, _ in decoded(cws, k)]
         assert listed == [w for w, p in cws.entries if p.defect == k]
 
 

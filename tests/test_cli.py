@@ -180,6 +180,16 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert "unreachable witness: {4}" in out
 
 
+def test_analyze_decodes_no_word(tmp_path, capsys, decodes):
+    # The decision reads excluded sets and duplicate states only; words are
+    # built where they are printed.
+    path = write_dfa(tmp_path, cerny(24))
+    assert run_cli(["analyze", path]) == 0
+    assert decodes == []
+    assert run_cli(["gamma", path]) == 0
+    assert decodes
+
+
 def test_analyze_json(tmp_path, capsys):
     bad = write_dfa(tmp_path, e_family(4, 3, drop_last_b=True))
     assert run_cli(["--format", "json", "analyze", bad]) == 1

@@ -201,6 +201,8 @@ def test_forest_levels_and_their_guards():
     assert [forest.level_of(nid) for nid in range(6)] == [1, 1, 1, 2, 2, 3]
     assert [forest.parent_of(nid) for nid in range(6)] == [4, 4, 3, 5, 5, None]
     assert forest.leafage_mask(4) == 0b011 and forest.leafage_mask(5) == 0b111
+    masks = [forest.leafage_masks(k) for k in (1, 2, 3)]
+    assert masks == [(0b001, 0b010, 0b100), (0b100, 0b011), (0b111,)]
     accessors = (
         forest.parent_of, forest.level_of, forest.leafage_mask, forest.leafage
     )
@@ -215,8 +217,9 @@ def test_forest_levels_and_their_guards():
         with pytest.raises(IndexError, match="no node 11 in a forest of 11"):
             accessor(11)
     for level in (0, 4):
-        with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
-            forest.level_nodes(level)
+        for accessor in (forest.level_nodes, forest.leafage_masks):
+            with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
+                accessor(level)
     for groups in ([], [[5], [5]], [[4]]):
         with pytest.raises(ValueError, match="partition the current top level"):
             forest.add_level(groups)
@@ -250,11 +253,35 @@ def test_build_gamma1_matches_defect1_signatures():
     cws.grow(1)
     level = build_gamma(e12).levels[0]
     first = {}  # each edge's shortlex-least defect-1 word, in that order
-    for w, em, dm in cws.signatures_of_defect(1):
-        first.setdefault((em.bit_length() - 1, dm.bit_length() - 1), w)
+    for code, em, dm in cws.signatures_of_defect(1):
+        first.setdefault((em.bit_length() - 1, dm.bit_length() - 1), cws.word(code))
     assert level.graph.edges == frozenset(first)
     assert list(level.forcing.items()) == list(first.items())
     assert level.inherited == frozenset()
+
+
+def test_forcing_builds_a_word_only_when_read(decodes):
+    failing = e_family(8, 7, drop_last_b=True)
+    result = build_gamma(failing)
+    unreachable_witness(result, failing)
+    result = build_gamma(fixed_example("e12"))
+    assert decodes == []
+    read = 0
+    for level in result.levels:
+        forest = result.forest
+        assert level.leafage == tuple(map(forest.leafage_mask, level.vertices))
+        forcing = level.forcing
+        edges = list(forcing)
+        assert len(forcing) == len(edges) > 0
+        assert all(edge in forcing for edge in edges)
+        assert (0, 0) not in forcing and forcing.get((0, 0)) is None
+        assert len(decodes) == read
+        items = list(forcing.items())  # one decode per item
+        assert len(decodes) == read + len(items)
+        assert [edge for edge, _ in items] == edges
+        assert forcing == dict(items)
+        assert repr(forcing) == f"ForcingWords({dict(items)!r})"
+        read = len(decodes)
 
 
 def test_decision_matches_oracle_on_random_sample():

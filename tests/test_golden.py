@@ -15,7 +15,8 @@ search on the same corpora: the whole ``powerset_reach_map`` in mask order,
 
 Two more sets of digests pin automata larger than the corpus: both
 canonical walks, the signature walk and the pair walk, as every list
-``signatures_of_defect`` returns up to a cap, and the hierarchy, as
+``signatures_of_defect`` returns up to a cap with each code decoded to its
+word, and the hierarchy, as
 ``gamma_to_doc`` plus each level's vertices and ``forcing`` items in
 insertion order, with reach words for the n prefix sets and the n
 singletons.
@@ -191,7 +192,8 @@ def test_canonical_walk_digest(name, walk):
     cws.grow(cap)
     h = hashlib.sha256()
     for k in range(cap + 1):
-        h.update(repr(cws.signatures_of_defect(k)).encode())
+        triples = [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
+        h.update(repr(triples).encode())
         h.update(b"\n")
     assert h.hexdigest() == digest
 

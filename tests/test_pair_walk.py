@@ -72,6 +72,11 @@ def walk_inputs():
     return inputs
 
 
+def decoded(walk, k):
+    """The walk's defect-k triples with each code decoded to its word."""
+    return [(walk.word(c), em, dm) for c, em, dm in walk.signatures_of_defect(k)]
+
+
 def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
     multi = 0  # entries holding several duplicate states
     for dfa, cap in walk_inputs():
@@ -80,8 +85,8 @@ def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
         pairs = PairWordSet(dfa)
         pairs.grow(cap)
         for k in range(cap + 1):
-            whole = signatures.signatures_of_defect(k)
-            kept = pairs.signatures_of_defect(k)
+            whole = decoded(signatures, k)
+            kept = decoded(pairs, k)
             assert len(kept) <= len(whole), (dfa, k)
             words = [w for w, _, _ in kept]
             assert words == sorted(words, key=shortlex_key)
@@ -124,7 +129,7 @@ def reference_levels(dfa):
     while True:
         cws.grow(k)
         forcing = {}
-        for w, em, dm in cws.signatures_of_defect(k):
+        for w, em, dm in decoded(cws, k):
             for src, outer in enumerate(leafages):
                 if em & ~outer:
                     continue

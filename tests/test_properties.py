@@ -1,8 +1,13 @@
 """Randomized invariants: composition of signatures, defect algebra, and the
-structural guarantees of both canonical walks."""
+structural guarantees of both canonical walks; and a check that a failing
+property test fails the run under the repository's warning filters."""
 
 import math
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -116,3 +121,40 @@ def test_canonical_set_closure_and_size(bundle, cap):
             else:  # a pair entry's dupl set is the states it holds
                 assert pair.excl == whole.excl
                 assert pair.dupl.issubset(whole.dupl)
+
+
+def test_failing_property_test_fails_the_run_without_aborting_it(tmp_path):
+    # Hypothesis explains a failing example inside a pytest report hook.  A
+    # warning it raises there, turned into an error by the repository's
+    # filterwarnings, used to abort the whole run with INTERNALERROR (exit 3)
+    # and skip every test after it.
+    (tmp_path / "test_sample.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(derandomize=True, max_examples=5, deadline=None)
+            @given(st.integers())
+            def test_fails(x):
+                assert x < 0
+
+            def test_after():
+                pass
+            """
+        )
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(config), "--rootdir", str(tmp_path), "test_sample.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output

@@ -38,8 +38,11 @@ def test_bound_formulas_frozen():
     ):
         with pytest.raises(ValueError, match="state count must be at least 1, got 0"):
             bound(0)
-    with pytest.raises(ValueError, match="out of range 2..0"):
+    # The state count is checked before the subset size, as in the bounds above.
+    with pytest.raises(ValueError, match="state count must be at least 1, got 0"):
         compress_length_bound(0, 2)
+    with pytest.raises(ValueError, match="subset size 2 out of range 2..1"):
+        compress_length_bound(1, 2)
 
 
 def test_cubic_grows_slower_than_cerny_eventually():

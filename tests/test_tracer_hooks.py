@@ -6,7 +6,8 @@ tracer's own tables and resolves each entry the way it does.  The same
 tables are the only licence for an import that its module never reads: the
 tracer counts calls through such a name, so it must stay bound.  The
 ``canonical.*`` spans wrap ``CanonicalWordSet``'s methods, so the walk that
-``build_gamma`` runs must inherit them.
+``build_gamma`` runs must inherit them, and the tracer's counts must build
+no forcing word.
 """
 
 import ast
@@ -78,7 +79,7 @@ def test_no_unread_imports(tracing):
     assert unread == []
 
 
-def test_canonical_spans_time_the_decisions_walk(tracing):
+def test_canonical_spans_time_the_decisions_walk(tracing, decodes):
     walks = [
         value
         for value in vars(gamma_module).values()
@@ -99,3 +100,5 @@ def test_canonical_spans_time_the_decisions_walk(tracing):
     assert counts["canonical.grow_calls"] == result.terminal_step == 3
     assert counts["canonical.select_calls"] == result.terminal_step
     assert counts["canonical.signatures"] > 0
+    # Counting forced edges reads len(level.forcing), which builds no word.
+    assert counts["gamma.edges_forced"] > 0 and decodes == []
