@@ -58,6 +58,8 @@ class StateSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "StateSet":
+        if not _is_int(mask):
+            raise ValueError(f"mask {mask!r} is not an integer")
         if mask < 0:
             raise ValueError("mask must be non-negative")
         s = cls.__new__(cls)
@@ -208,9 +210,6 @@ class ExclDuplPair:
     def defect(self) -> int:
         return len(self.excl)
 
-    def key(self) -> tuple[int, int]:
-        return (self.excl.mask, self.dupl.mask)
-
 
 def _chunk_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """One table per 8 rows: entry b is the union of the rows that b marks.
@@ -341,6 +340,8 @@ def extend_excl_dupl(
     its whole a-preimage lies in excl(u); it joins the new dupl when its
     a-preimage meets dupl(u) or keeps at least two states outside excl(u).
     """
+    if not _is_int(a):
+        raise ValueError(f"letter index {a!r} is not an integer")
     if not 0 <= a < dfa.m:
         raise ValueError(f"letter index {a} out of range 0..{dfa.m - 1}")
     keep = ~pair_u.excl.mask
@@ -353,8 +354,3 @@ def extend_excl_dupl(
         elif pm & dupl_u or alive & (alive - 1):
             dupl |= 1 << q
     return ExclDuplPair(StateSet.from_mask(excl), StateSet.from_mask(dupl))
-
-
-def shortlex_key(w: Word) -> tuple[int, Word]:
-    """Sort key for the length-then-letter-order word ordering."""
-    return (len(w), w)

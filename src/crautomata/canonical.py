@@ -1,68 +1,65 @@
-"""Shortlex enumeration of least words, per signature or per (excl, q) pair.
+"""Shortlex enumeration of the least word of every (excl, q) pair.
 
-A word is canonical when it is the shortlex-least word with its signature.
-Every prefix of a canonical word is canonical (the signature of an extension
-depends only on the signature of what it extends), so the canonical words
-form a tree, walked here from the empty word.  A word whose signature has
-been seen before is rejected together with its whole subtree.
+The hierarchy reads a word only through its excl set, the states with no
+preimage, and one state of its dupl set, the states with at least two.  So
+the walk keeps, for every excl set X and state q outside it, the least
+word of the pair (X, q): the shortlex-least word whose excl set is X and
+whose dupl set holds q.  There are at most n·2^(n-1) + 1 keys, the empty
+word's included, where whole (excl, dupl) signatures are bounded only by
+3^n.
+
+The least words form a tree, walked here from the empty word: the least
+word u·a of (X, q) extends a least word.  With alive(u) = Q \\ excl(u), if
+a hits q twice from alive(u), then u is the least word whose excl set is
+excl(u), because that word followed by a also has excl set X and q in its
+dupl set; otherwise q = p·a for some p in dupl(u), and u is the least word
+of (excl(u), p).  A word whose pairs all have a smaller word already is
+rejected together with its whole subtree.
 
 Words over m letters are carried as integer codes: a1 ... aL has code
 (a1 + 1)·m^(L-1) + ... + (aL + 1), its bijective base-m numeral, so
 numeric order on codes is shortlex order and the child w·a has code
-code(w)·m + a + 1.  The walks never build a word.  A caller that reads
+code(w)·m + a + 1.  The walk never builds a word.  A caller that reads
 one asks the walk's ``word`` decoder (``word_decoder``), which builds each
 word from its memoised parent, code (c - 1) // m, and its last letter,
 (c - 1) % m, so every prefix is built once, and only where it is read.
-``_best`` maps each signature, as the int ``excl << n | dupl``, to the
-code of the least word found for it so far.  A child is dropped when
-``_best`` holds a smaller code; otherwise it becomes the signature's best
-word and waits.
+``_best`` maps each pair, as the int ``X << n | 1 << q``, to the code of
+the least word found for it so far, and the empty word's key 0 to 0.  A
+child takes the pairs for which ``_best`` holds no smaller code, becomes
+their best word and waits; a child that takes none is dropped.
 
 Defect never decreases along extensions, so the walk goes one defect at a
 time.  The words of defect k wait in one heap, ``_waiting[k]``, as
-(code, signature); raising the cap to k pops that heap until it is empty,
-pushing children of defect k onto it as it goes.  A child's code is larger
-than its parent's, so the pops come in shortlex order.  A later walk, of a
-higher defect than the walk that queued a signature, can find a smaller
-code for it; the older entry is then skipped when popped, because its code
-is no longer the signature's best.  So an entry popped and not skipped
-holds the least word with its signature.  Each word waits at most once, so
-the codes in a heap are distinct and the heap never compares signatures.
+(code, key), the key being ``excl << n | held`` with held the states for
+which the word may still be least.  Raising the cap to k pops that heap
+until it is empty, pushing children of defect k onto it as it goes.  A
+child's code is larger than its parent's, so the pops come in shortlex
+order.  A later walk, of a higher defect than the walk that queued a word,
+can find a smaller code for one of its pairs; the popped entry then keeps
+only the pairs whose best code it still holds, and is skipped when it
+holds none.  So an entry kept holds the least word of every pair it holds.
+Each word waits at most once, so the codes in a heap are distinct and the
+heap never compares keys.
 
-A child's signature comes from its parent's alone, by
-``automaton.extend_excl_dupl``: with alive = Q \\ excl, the child's excl
-is the complement of alive·a, and its dupl holds the states hit twice from
-alive plus the image of dupl (dupl lies inside alive, so "the a-preimage
-of q meets dupl" is "q lies in dupl·a").  The signature walk applies that
-rule state by state, and serves as the reference for the pair walk below.
-
-Kept words are stored as (code, excl mask, dupl mask) in one list per
+Kept words are stored as (code, excl mask, held mask) in one list per
 defect, filled by the one walk of that defect, already in shortlex order.
 
-``PairWordSet`` walks the same tree more sparsely: it keeps the least word
-of every pair (X, q), the shortlex-least word whose excl set is X and whose
-dupl set holds q.  That is all the hierarchy reads, and there are at most
-n·2^(n-1) + 1 keys (q lies outside X), where signatures are bounded only by
-3^n.  The least word u·a of (X, q) extends a least word: if a hits q twice
-from alive(u), then u is the least word whose excl set is excl(u), because
-that word followed by a also has excl set X and q in its dupl set;
-otherwise q = p·a for some p in dupl(u), and u is the least word of
-(excl(u), p).  X itself needs no node.  Once a state is excluded some state
-is hit twice, so X's least word is the least word of (X, q) for every q in
-its dupl set; every entry kept with excl set X is the least word of some
+X itself needs no node.  Once a state is excluded some state is hit
+twice, so X's least word is the least word of (X, q) for every q in its
+dupl set; every entry kept with excl set X is the least word of some
 (X, q), so none comes before X's least word in the defect's code-ordered
-walk, and X's least word is the first entry kept with excl set X.  That
-entry adds the states hit twice from alive to its children and stores the
-packed child excl sets; each later entry of X reads them back and passes
-on only the image of the states it holds.
+walk, and X's least word is the first entry kept with excl set X, holding
+its whole dupl set.  That entry adds the states hit twice from alive to
+its children and stores the packed child excl sets; each later entry of X
+reads them back and passes on only the image of the states it holds.
 
-The pair walk steps every letter at once: letter a owns the 2n bits from
-a·2n on, and ``_rows[p]`` holds every letter's image of state p in the
-high n bits of its field.  ORing the rows of alive gives its image, and a
-row that meets the image of the states before it marks states hit twice.
-Then ``(_high ^ image) | twice >> n``, with ``_high`` all ones in every
-high half, holds letter a's child signature ``excl << n | dupl`` in its
-field.
+The walk steps every letter at once: letter a owns the 2n bits from a·2n
+on, and ``_rows[p]`` holds every letter's image of state p in the high n
+bits of its field.  ORing the rows of alive gives its image, whose
+complement is the child's excl set, and a row that meets the image of the
+states before it marks states hit twice.  Then
+``(_high ^ image) | twice >> n``, with ``_high`` all ones in every high
+half, holds letter a's child key ``excl << n | held`` in its field.
 """
 
 from __future__ import annotations
@@ -71,16 +68,9 @@ from collections import defaultdict
 from collections.abc import Callable
 from heapq import heappop, heappush
 
-from .automaton import (
-    Dfa,
-    ExclDuplPair,
-    StateSet,
-    Word,
-    extend_excl_dupl,
-    preimage_table,
-)
+from .automaton import Dfa, ExclDuplPair, StateSet, Word
 
-# (code, excl mask, dupl mask)
+# (code, excl mask, held mask)
 _Entry = tuple[int, int, int]
 
 
@@ -114,22 +104,36 @@ def word_decoder(m: int) -> Callable[[int], Word]:
 
 
 class CanonicalWordSet:
-    """Shortlex-least witnesses for every realizable signature up to a defect cap."""
+    """Least words of the (excl, duplicate state) pairs up to a defect cap.
+
+    A kept entry ``(code, excl mask, held mask)`` says that the code's word
+    is the least word with that excl set and q in its dupl set, for every q
+    in the held mask, which ``entries`` reports as the dupl set.  The first
+    entry kept for an excl set holds the whole dupl set of its word.
+    """
 
     def __init__(self, dfa: Dfa):
-        self._dfa = dfa
-        self._n = dfa.n
-        self._m = dfa.m
+        n, m = dfa.n, dfa.m
+        self._n = n
+        self._m = m
         # word(code) builds the word behind a kept entry's code.
-        self.word = word_decoder(dfa.m)
-        # _best[excl << n | dupl] is the code of the least word found with
-        # that signature.
+        self.word = word_decoder(m)
+        width = 2 * n
+        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n.
+        self._rows = [
+            sum(1 << (q + a * width + n) for a, q in enumerate(row))
+            for row in dfa.delta
+        ]
+        # Every field's high half set: that half's mask times the m-digit
+        # repunit in base 2**width.
+        self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
+        # _best[excl << n | 1 << q] is the code of the least word found for
+        # the pair (excl, q); a key with several held states is never in it.
         self._best: dict[int, int] = {0: 0}
         # _by_defect[k] holds the kept words of defect k in shortlex order.
         self._by_defect: list[list[_Entry]] = []
-        # _waiting[k] is the heap of (code, signature) of the words of
-        # defect k; an entry whose code is not the signature's in _best is
-        # stale.
+        # _waiting[k] is the heap of (code, excl << n | held) of the words
+        # of defect k; an entry holds a pair only while _best has its code.
         self._waiting: dict[int, list[tuple[int, int]]]
         self._waiting = defaultdict(list, {0: [(0, 0)]})
         self._walk_next_defect()
@@ -140,7 +144,7 @@ class CanonicalWordSet:
 
     @property
     def entries(self) -> list[tuple[Word, ExclDuplPair]]:
-        """Every kept word with its signature, in shortlex order."""
+        """Every kept word with its excl set and held states, in shortlex order."""
         # Codes are distinct and ordered as their words are.
         merged = sorted(e for entries in self._by_defect for e in entries)
         word = self.word
@@ -157,36 +161,8 @@ class CanonicalWordSet:
         while len(self._by_defect) <= defect_cap:
             self._walk_next_defect()
 
-    def _walk_next_defect(self) -> None:
-        """Keep the waiting words of the next defect, in shortlex order."""
-        kept: list[_Entry] = []
-        heap = self._waiting[len(self._by_defect)]
-        self._by_defect.append(kept)
-        if not heap:
-            return
-        n, m, dfa = self._n, self._m, self._dfa
-        best, waiting = self._best, self._waiting
-        table = preimage_table(dfa)
-        full = (1 << n) - 1
-        while heap:
-            code, key = heappop(heap)
-            if best[key] != code:  # left behind by a smaller word
-                continue
-            em, dm = key >> n, key & full
-            kept.append((code, em, dm))
-            pair = ExclDuplPair(StateSet.from_mask(em), StateSet.from_mask(dm))
-            ccode = code * m
-            for a in range(m):
-                ccode += 1
-                child = extend_excl_dupl(pair, dfa, a, table)
-                ckey = child.excl.mask << n | child.dupl.mask
-                if best.get(ckey, ccode) < ccode:
-                    continue
-                best[ckey] = ccode
-                heappush(waiting[child.defect], (ccode, ckey))
-
     def signatures_of_defect(self, k: int) -> list[_Entry]:
-        """Raw (code, excl mask, dupl mask) triples of defect exactly k.
+        """Raw (code, excl mask, held mask) triples of defect exactly k.
 
         This is the stored list itself, in shortlex order; do not mutate it.
         ``word(code)`` builds a triple's word.
@@ -199,34 +175,6 @@ class CanonicalWordSet:
         if k < 0:
             raise ValueError("defect must be non-negative")
         return self._by_defect[k]
-
-
-class PairWordSet(CanonicalWordSet):
-    """Least words of the (excl, duplicate state) pairs up to a defect cap.
-
-    A kept entry ``(code, excl mask, held mask)`` says that the code's word
-    is the least word with that excl set and q in its dupl set, for every q
-    in the held mask, which ``entries`` reports as the dupl set.  The first
-    entry kept for an excl set holds the whole dupl set of its word.  A waiting
-    entry's key is ``excl << n | held``, the held states being those for
-    which its word may still be least.  ``_best`` maps each pair, as
-    ``excl << n | 1 << q``, to the code of the least word found for it, and
-    the empty word's key 0 to 0; a key with several held states is never
-    in it.
-    """
-
-    def __init__(self, dfa: Dfa):
-        n, m = dfa.n, dfa.m
-        width = 2 * n
-        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n.
-        self._rows = [
-            sum(1 << (q + a * width + n) for a, q in enumerate(row))
-            for row in dfa.delta
-        ]
-        # Every field's high half set: that half's mask times the m-digit
-        # repunit in base 2**width.
-        self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
-        super().__init__(dfa)
 
     def _walk_next_defect(self) -> None:
         """Keep the waiting words of the next defect, in shortlex order."""

@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .automaton import Dfa, StateSet, Word, iter_bits
-from .canonical import PairWordSet
+from .canonical import CanonicalWordSet
 from .digraph import SimpleDigraph, strongly_connected_components
 
 SUCCESS = "SUCCESS"
@@ -189,7 +189,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     """
     n = dfa.n
     forest = ClusterForest(n)
-    cws = PairWordSet(dfa)
+    cws = CanonicalWordSet(dfa)
     levels: list[GammaLevel] = []
     inherited: frozenset[tuple[int, int]] = frozenset()
     owner = list(range(n))

@@ -43,6 +43,7 @@ from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
     Word,
+    _is_int,
     apply_word_mask,
     excl_dupl,
     iter_bits,
@@ -55,10 +56,16 @@ from .automaton import (  # noqa: F401
 from .oracle import DEFAULT_MAX_STATES, reset_threshold_exact
 
 
-def cerny_bound(n: int) -> int:
-    """(n-1)^2, the conjectured tight reset length for synchronizing automata."""
+def _check_state_count(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"state count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"state count must be at least 1, got {n}")
+
+
+def cerny_bound(n: int) -> int:
+    """(n-1)^2, the conjectured tight reset length for synchronizing automata."""
+    _check_state_count(n)
     return (n - 1) ** 2
 
 
@@ -68,8 +75,7 @@ def cubic_reset_bound(n: int) -> int:
     Exact integer arithmetic: both numerators are divisible by 48 for the
     matching parity, so the floor division is exact.
     """
-    if n < 1:
-        raise ValueError(f"state count must be at least 1, got {n}")
+    _check_state_count(n)
     if n % 2 == 0:
         return (7 * n**3 + 18 * n**2 - 64 * n + 48) // 48
     return (7 * n**3 + 15 * n**2 - 55 * n + 33) // 48
@@ -81,22 +87,21 @@ def avoiding_length_bound(n: int) -> int:
     With n >= 2 states every state is avoidable within n letters.  With one
     state no word avoids it, and ``avoiding_word`` returns None.
     """
-    if n < 1:
-        raise ValueError(f"state count must be at least 1, got {n}")
+    _check_state_count(n)
     return n
 
 
 def halving_length_bound(n: int) -> int:
     """One max-defect letter plus at most ceil(n/2)-1 avoiding words of length n."""
-    if n < 1:
-        raise ValueError(f"state count must be at least 1, got {n}")
+    _check_state_count(n)
     return n * ((n + 1) // 2 - 1) + 1
 
 
 def compress_length_bound(n: int, k: int) -> int:
     """Shrinking a k-subset of a completely reachable automaton costs at most C(n-k+2, 2)."""
-    if n < 1:
-        raise ValueError(f"state count must be at least 1, got {n}")
+    _check_state_count(n)
+    if not _is_int(k):
+        raise ValueError(f"subset size must be an integer, got {k!r}")
     if not 2 <= k <= n:
         raise ValueError(f"subset size {k} out of range 2..{n}")
     return math.comb(n - k + 2, 2)
@@ -171,6 +176,8 @@ def avoiding_word(dfa: Dfa, q: int) -> Word | None:
     reachable automata with at least two states always admit one of length
     at most n.
     """
+    if not _is_int(q):
+        raise ValueError(f"state index {q!r} is not an integer")
     if not 0 <= q < dfa.n:
         raise ValueError(f"state index {q} out of range 0..{dfa.n - 1}")
     levels = _avoiding_levels(dfa, q)

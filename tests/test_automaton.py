@@ -7,6 +7,7 @@ from crautomata import (
     ExclDuplPair,
     StateSet,
     apply_word,
+    avoiding_word,
     defect,
     excl_dupl,
     extend_excl_dupl,
@@ -16,7 +17,6 @@ from crautomata import (
 from crautomata.automaton import (
     packed_images,
     packed_preimages,
-    shortlex_key,
     step_all,
 )
 from crautomata.generators import cerny, fixed_example, random_dfa
@@ -162,7 +162,6 @@ def test_excl_dupl_pair_invariants():
         ExclDuplPair(StateSet([0]), StateSet())
     pair = ExclDuplPair(StateSet(), StateSet())
     assert pair.defect == 0
-    assert pair.key() == (0, 0)
 
 
 def test_preimage_table():
@@ -234,6 +233,18 @@ def test_extend_excl_dupl_permutation_keeps_empty():
         extend_excl_dupl(empty, c5, 9, table)
 
 
-def test_shortlex_key():
-    words = [(1,), (0, 1), (), (0,), (1, 0)]
-    assert sorted(words, key=shortlex_key) == [(), (0,), (1,), (0, 1), (1, 0)]
+def test_indices_must_be_integers():
+    # A bool is not taken for 0 or 1, nor a float for its integer part.
+    c4 = cerny(4)
+    table = preimage_table(c4)
+    empty = excl_dupl(c4, ())
+    calls = {
+        "state index": lambda x: avoiding_word(c4, x),
+        "letter index": lambda x: extend_excl_dupl(empty, c4, x, table),
+        "mask": StateSet.from_mask,
+    }
+    for name, call in calls.items():
+        for bad in (True, False, 1.0, 1.5):
+            with pytest.raises(ValueError, match=f"^{name} {bad} is not an integer$"):
+                call(bad)
+

@@ -1,8 +1,8 @@
 import math
-from collections import deque
 from itertools import product
 
 import pytest
+from canonical_reference import least_pairs, shortlex_signatures
 
 from crautomata import (
     Dfa,
@@ -17,7 +17,7 @@ from crautomata import (
     random_dfa,
     transition_monoid,
 )
-from crautomata.automaton import shortlex_key, transformation_signature
+from crautomata.automaton import iter_bits, transformation_signature
 from crautomata.canonical import CanonicalWordSet, word_decoder
 
 
@@ -32,37 +32,23 @@ def decoded(cws, k):
     return [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
 
 
-def shortlex_signatures(dfa, cap):
-    """Per defect up to cap, (word, excl, dupl) of each signature's least word.
+def assert_holds_its_word(dfa, w, pair):
+    """A kept pair has its word's excl set and holds only duplicated states."""
+    whole = excl_dupl(dfa, w)
+    assert pair.excl == whole.excl and pair.dupl.issubset(whole.dupl), (dfa, w)
 
-    A breadth-first search over words that extends each signature once,
-    through the per-state ``extend_excl_dupl``.  Children go on the queue in
-    letter order, so it stays in shortlex order, and the prefix of a least
-    word is least: the first word found with a signature is its least word.
-    """
-    table = preimage_table(dfa)
-    root = ExclDuplPair(StateSet(), StateSet())
-    by_defect = [[] for _ in range(cap + 1)]
-    seen = {root.key()}
-    queue = deque([((), root)])
-    while queue:
-        w, pair = queue.popleft()
-        by_defect[pair.defect].append((w, pair.excl.mask, pair.dupl.mask))
-        for a in range(dfa.m):
-            child = extend_excl_dupl(pair, dfa, a, table)
-            if child.defect <= cap and child.key() not in seen:
-                seen.add(child.key())
-                queue.append((w + (a,), child))
-    return by_defect
+
+def pairs_of(em, dm):
+    return {(em, q) for q in iter_bits(dm)}
 
 
 def assert_matches_reference(dfa, cws, stride=1):
     """Compare with the reference, and apply every stride-th kept word."""
     cap = cws.defect_cap
     got = [decoded(cws, k) for k in range(cap + 1)]
-    assert got == shortlex_signatures(dfa, cap), (dfa, cap)
+    assert got == least_pairs(shortlex_signatures(dfa, cap)), (dfa, cap)
     for w, pair in cws.entries[::stride]:
-        assert excl_dupl(dfa, w) == pair
+        assert_holds_its_word(dfa, w, pair)
 
 
 def test_word_decoder_inverts_the_shortlex_code():
@@ -78,7 +64,7 @@ def test_word_decoder_inverts_the_shortlex_code():
                 code = code * m + a + 1
             codes.append(code)
         by_code = [w for _, w in sorted(zip(codes, words))]
-        assert by_code == sorted(words, key=shortlex_key)
+        assert by_code == sorted(words, key=lambda w: (len(w), w))
         decode = word_decoder(m)
         for code, w in reversed(list(zip(codes, words))):
             assert decode(code) == w
@@ -104,9 +90,9 @@ def test_epsilon_entry_always_present():
 def test_entries_shortlex_sorted_and_unique():
     cws = grown_to(fixed_example("e5"), 3)
     words = [w for w, _ in cws.entries]
-    assert words == sorted(words, key=shortlex_key)
-    keys = [p.key() for _, p in cws.entries]
-    assert len(keys) == len(set(keys))
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    pairs = [p for _, p in cws.entries]
+    assert len(pairs) == len(set(pairs))
     # each per-defect list is the shortlex-ordered slice of the entries
     for k in range(4):
         listed = [w for w, _, _ in decoded(cws, k)]
@@ -134,11 +120,11 @@ def test_stored_signature_matches_word():
     dfa = e_family(6, 4)
     cws = grown_to(dfa, 4)
     for w, pair in cws.entries:
-        assert excl_dupl(dfa, w) == pair
+        assert_holds_its_word(dfa, w, pair)
 
 
 def test_signature_sets_match_monoid_oracle():
-    # gamma's defect-k signature sets must equal the monoid's, per k
+    # gamma's defect-k (excl, q) pairs must be the monoid's signatures', per k
     for seed in range(25):
         dfa = random_dfa(3 + seed % 4, 2 + seed % 2, 4000 + seed)
         n = dfa.n
@@ -148,25 +134,31 @@ def test_signature_sets_match_monoid_oracle():
         for t in mon.elements:
             d = n - len(set(t))
             if d >= 1:
-                by_defect[d].add(transformation_signature(t).key())
+                sig = transformation_signature(t)
+                by_defect[d] |= pairs_of(sig.excl.mask, sig.dupl.mask)
         for k in range(1, n):
-            got = {(em, dm) for _, em, dm in cws.signatures_of_defect(k)}
+            got = set()
+            for _, em, dm in cws.signatures_of_defect(k):
+                got |= pairs_of(em, dm)
             assert got == by_defect[k], (seed, k)
 
 
 def test_shortlex_minimality_against_exhaustion():
-    # the stored witness must be the first word with its signature in
-    # shortlex enumeration order
+    # the stored witness of each (excl, q) pair must be the first word with
+    # that excl set and q duplicated in shortlex enumeration order
     for seed in (3, 11):
         dfa = random_dfa(4, 2, seed)
         cws = grown_to(dfa, 3)
-        stored = {p.key(): w for w, p in cws.entries}
+        stored = {}
+        for w, p in cws.entries:
+            stored.update(dict.fromkeys(pairs_of(p.excl.mask, p.dupl.mask), w))
         seen = {}
         for length in range(0, 7):
             for letters in product(range(dfa.m), repeat=length):
-                key = excl_dupl(dfa, letters).key()
-                if key not in seen:
-                    seen[key] = letters
+                sig = excl_dupl(dfa, letters)
+                for key in pairs_of(sig.excl.mask, sig.dupl.mask):
+                    seen.setdefault(key, letters)
+        assert stored
         for key, word in stored.items():
             if len(word) <= 6:
                 assert seen[key] == word
@@ -290,23 +282,30 @@ def test_walk_matches_per_state_reference_on_wide_and_unary_alphabets():
 
 
 def _late_finds(dfa, cws):
-    """Signatures whose least word a later walk finds, by the word it beat.
+    """Pairs whose least word a later walk finds, by the word it beat.
 
     The walk of defect d runs after every lower defect's walk, so a child of
     a lower-defect word waits before the least word's parent is walked.
     "replace": a child of the same length waited; "move": only longer ones.
+    A kept entry's child holds at most the pairs of its entry extended as a
+    signature.  For a pair it does not hold, the first entry with the same
+    excl set has a smaller child, no longer, that does, so the shortest
+    lengths are those of the children the walk queued.
     """
     table = preimage_table(dfa)
-    least = {pair.key(): w for w, pair in cws.entries}
-    earliest = {}  # signature -> shortest child length from an earlier walk
+    least = {}
+    for w, pair in cws.entries:
+        least.update(dict.fromkeys(pairs_of(pair.excl.mask, pair.dupl.mask), w))
+    earliest = {}  # pair -> shortest child length from an earlier walk
     for u, pair in cws.entries:
         for a in range(dfa.m):
-            key = extend_excl_dupl(pair, dfa, a, table).key()
-            w = least.get(key)
-            if w is None or w == u + (a,):
-                continue
-            if excl_dupl(dfa, w[:-1]).defect > pair.defect:
-                earliest[key] = min(earliest.get(key, len(u) + 1), len(u) + 1)
+            child = extend_excl_dupl(pair, dfa, a, table)
+            for key in pairs_of(child.excl.mask, child.dupl.mask):
+                w = least.get(key)
+                if w is None or w == u + (a,):
+                    continue
+                if excl_dupl(dfa, w[:-1]).defect > pair.defect:
+                    earliest[key] = min(earliest.get(key, len(u) + 1), len(u) + 1)
     return {
         "replace": sum(1 for key, m in earliest.items() if m == len(least[key])),
         "move": sum(1 for key, m in earliest.items() if m > len(least[key])),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from canonical_reference import shortlex_signatures
 from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
@@ -21,7 +22,6 @@ from crautomata import (
     strongly_connected_components,
     unreachable_witness,
 )
-from crautomata.canonical import CanonicalWordSet
 
 
 def leafages_at(result, level):
@@ -249,12 +249,10 @@ def test_terminal_step_bounded():
 
 def test_build_gamma1_matches_defect1_signatures():
     e12 = fixed_example("e12")
-    cws = CanonicalWordSet(e12)
-    cws.grow(1)
     level = build_gamma(e12).levels[0]
     first = {}  # each edge's shortlex-least defect-1 word, in that order
-    for code, em, dm in cws.signatures_of_defect(1):
-        first.setdefault((em.bit_length() - 1, dm.bit_length() - 1), cws.word(code))
+    for w, em, dm in shortlex_signatures(e12, 1)[1]:
+        first.setdefault((em.bit_length() - 1, dm.bit_length() - 1), w)
     assert level.graph.edges == frozenset(first)
     assert list(level.forcing.items()) == list(first.items())
     assert level.inherited == frozenset()

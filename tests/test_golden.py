@@ -13,10 +13,11 @@ A second digest per family pins the brute-force oracle and the avoiding
 search on the same corpora: the whole ``powerset_reach_map`` in mask order,
 ``reset_threshold_exact``, and ``avoiding_word`` for every state.
 
-Two more sets of digests pin automata larger than the corpus: both
-canonical walks, the signature walk and the pair walk, as every list
-``signatures_of_defect`` returns up to a cap with each code decoded to its
-word, and the hierarchy, as
+Two more sets of digests pin automata larger than the corpus: the least
+words, as every per-defect list of (word, excl, dupl) triples up to a cap,
+both of whole signatures, from the reference search, and of (excl, q)
+pairs, from ``CanonicalWordSet.signatures_of_defect`` with each code
+decoded to its word; and the hierarchy, as
 ``gamma_to_doc`` plus each level's vertices and ``forcing`` items in
 insertion order, with reach words for the n prefix sets and the n
 singletons.
@@ -30,6 +31,7 @@ import hashlib
 import json
 
 import pytest
+from canonical_reference import shortlex_signatures
 
 from crautomata import (
     StateSet,
@@ -47,7 +49,7 @@ from crautomata import (
     reset_word,
     unreachable_witness,
 )
-from crautomata.canonical import CanonicalWordSet, PairWordSet
+from crautomata.canonical import CanonicalWordSet
 
 
 def _corpus(family):
@@ -135,67 +137,73 @@ def test_oracle_digest(family):
     assert _digest(family, _oracle_records) == ORACLE_GOLDEN[family]
 
 
-# name -> (automaton, defect cap, {walk: digest of the per-defect lists}).
+def _pair_lists(dfa, cap):
+    cws = CanonicalWordSet(dfa)
+    cws.grow(cap)
+    return [
+        [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
+        for k in range(cap + 1)
+    ]
+
+
+# name -> (automaton, defect cap, {lists: digest of the per-defect lists}).
 # cerny(65) has 65-bit masks and its defect-1 words run to 191 letters;
 # random_dfa(16, 2, 102) is a rare draw with a thousand signatures by
-# defect 3, and the only one here where the pair walk keeps fewer words than
-# the signature walk.
+# defect 3, and the only one here with fewer pair entries than signatures.
 WALKS = {
     "e_family(12, 11)": (
         lambda: e_family(12, 11),
         11,
         {
-            CanonicalWordSet: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
-            PairWordSet: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+            shortlex_signatures: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
+            _pair_lists: "140f2210870be6f0d590fcaa5476c84c8b884cd5727f2cc317f815dabf5e0b37",
         },
     ),
     "e_family(12, 11, drop_last_b)": (
         lambda: e_family(12, 11, drop_last_b=True),
         11,
         {
-            CanonicalWordSet: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
-            PairWordSet: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+            shortlex_signatures: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
+            _pair_lists: "14f8cdb32ae02a2204512637d6943fe783c432de5bde0ab983cf3e1664edf1f5",
         },
     ),
     "cerny(65)": (
         lambda: cerny(65),
         1,
         {
-            CanonicalWordSet: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
-            PairWordSet: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+            shortlex_signatures: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
+            _pair_lists: "ab07119cdc5b62b00093576bf1d93168b605a08ae8ed50654915d39511880604",
         },
     ),
     "random_dfa(16, 2, 102)": (
         lambda: random_dfa(16, 2, 102),
         3,
         {
-            CanonicalWordSet: "a6206f689019c094f19339e77ae2aa7c5adc023737ebe4c8763108553ddf14de",
-            PairWordSet: "c1a3fefa3d481dfcc8799cfc034756365c7b59d610ba5dd04aae1d920fcca087",
+            shortlex_signatures: "a6206f689019c094f19339e77ae2aa7c5adc023737ebe4c8763108553ddf14de",
+            _pair_lists: "c1a3fefa3d481dfcc8799cfc034756365c7b59d610ba5dd04aae1d920fcca087",
         },
     ),
 }
 
 
-# The signature walk keeps the bare name as its test id.
+# The signature lists keep the bare name as their test id.
 @pytest.mark.parametrize(
-    "name, walk",
+    "name, lists",
     [
-        pytest.param(name, walk, id=name if walk is CanonicalWordSet else f"{name}-pairs")
+        pytest.param(
+            name, lists, id=name if lists is shortlex_signatures else f"{name}-pairs"
+        )
         for name in sorted(WALKS)
-        for walk in (CanonicalWordSet, PairWordSet)
+        for lists in (shortlex_signatures, _pair_lists)
     ],
 )
-def test_canonical_walk_digest(name, walk):
+def test_canonical_walk_digest(name, lists):
     make, cap, digests = WALKS[name]
-    digest = digests[walk]
-    cws = walk(make())
-    cws.grow(cap)
     h = hashlib.sha256()
-    for k in range(cap + 1):
-        triples = [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
+    for triples in lists(make(), cap):
         h.update(repr(triples).encode())
         h.update(b"\n")
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == digests[lists]
 
 
 # name -> (automaton, digest).  Deeper hierarchies than the corpus holds:

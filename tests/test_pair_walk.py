@@ -1,18 +1,19 @@
-"""The pair walk against the signature walk it replaces in ``build_gamma``.
+"""The pair walk against an independent search.
 
-``PairWordSet`` keeps the least word of every (excl, duplicate state) pair;
-``CanonicalWordSet`` keeps the least word of every whole (excl, dupl)
-signature, stepping state by state through ``extend_excl_dupl``, and
-stays as the reference.  One corpus serves both checks: the kept words are
-exactly the pairs' least words, and levels built from whole signatures are
-the levels ``build_gamma`` builds from pairs.  The first check also runs
-on automata of up to 65 states, on 260 letters and on one letter, and is
-the only check of the pair walk's packed letter rows against an
-independent walk.
+``CanonicalWordSet`` keeps the least word of every (excl, duplicate state)
+pair.  The reference, ``canonical_reference.shortlex_signatures``, is a
+breadth-first search that finds the least word of every whole (excl, dupl)
+signature, stepping state by state through ``extend_excl_dupl``; it shares
+no code with the walk.  One corpus serves both checks: the kept words are
+exactly the pairs' least words, as the search reduces them, and levels
+built from whole signatures are the levels ``build_gamma`` builds from
+pairs.  The first check also runs on automata of up to 65 states, on 260
+letters and on one letter, which stress the walk's packed letter rows.
 """
 
 import random
 
+from canonical_reference import least_pairs, shortlex_signatures
 from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
@@ -27,8 +28,7 @@ from crautomata import (
     random_dfa,
     strongly_connected_components,
 )
-from crautomata.automaton import shortlex_key
-from crautomata.canonical import CanonicalWordSet, PairWordSet
+from crautomata.canonical import CanonicalWordSet
 
 
 def corpus():
@@ -45,7 +45,7 @@ def corpus():
 def wide_and_unary():
     """A 260-letter automaton, whose packed keys hold more than 256 fields
     and whose letter digits need more than a byte, and unary automata, whose
-    codes are word lengths; the same automata as the signature walk's
+    codes are word lengths; the same automata as the canonical walk's
     wide and unary alphabet check."""
     n, m = 5, 260
     rotate = tuple((p + 1) % n for p in range(n))
@@ -80,22 +80,15 @@ def decoded(walk, k):
 def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
     multi = 0  # entries holding several duplicate states
     for dfa, cap in walk_inputs():
-        signatures = CanonicalWordSet(dfa)
-        signatures.grow(cap)
-        pairs = PairWordSet(dfa)
-        pairs.grow(cap)
+        walk = CanonicalWordSet(dfa)
+        walk.grow(cap)
+        whole = shortlex_signatures(dfa, cap)
+        least = least_pairs(whole)
         for k in range(cap + 1):
-            whole = decoded(signatures, k)
-            kept = decoded(pairs, k)
-            assert len(kept) <= len(whole), (dfa, k)
-            words = [w for w, _, _ in kept]
-            assert words == sorted(words, key=shortlex_key)
-            least = {}
-            for w, em, dm in whole:
-                for q in range(dfa.n):
-                    if dm >> q & 1:
-                        least.setdefault((em, q), w)
-            held, first = {}, set()
+            kept = decoded(walk, k)
+            assert kept == least[k], (dfa, k)
+            assert len(kept) <= len(whole[k]), (dfa, k)
+            first = set()
             for w, em, dm in kept:
                 pair = excl_dupl(dfa, w)
                 assert pair.excl.mask == em and dm & ~pair.dupl.mask == 0, (dfa, w)
@@ -103,11 +96,6 @@ def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
                     first.add(em)
                     assert dm == pair.dupl.mask, (dfa, w)
                 multi += dm & (dm - 1) != 0
-                for q in range(dfa.n):
-                    if dm >> q & 1:
-                        assert (em, q) not in held, (dfa, w)
-                        held[(em, q)] = w
-            assert held == least, (dfa, k)
     assert multi
 
 
@@ -120,16 +108,14 @@ def reference_levels(dfa):
     giving its word, the targets of one signature taken in vertex order.
     """
     n = dfa.n
-    cws = CanonicalWordSet(dfa)
     leafages = [1 << q for q in range(n)]
     ids = list(range(n))
     inherited = frozenset()
     levels = []
     k = 1
     while True:
-        cws.grow(k)
         forcing = {}
-        for w, em, dm in decoded(cws, k):
+        for w, em, dm in shortlex_signatures(dfa, k)[k]:
             for src, outer in enumerate(leafages):
                 if em & ~outer:
                     continue

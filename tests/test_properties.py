@@ -1,6 +1,7 @@
 """Randomized invariants: composition of signatures, defect algebra, and the
-structural guarantees of both canonical walks; and a check that a failing
-property test fails the run under the repository's warning filters."""
+structural guarantees of the canonical walk against its reference search;
+and a check that a failing property test fails the run under the
+repository's warning filters."""
 
 import math
 import random
@@ -9,6 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+from canonical_reference import least_pairs, shortlex_signatures
 from hypothesis import given, settings, strategies as st
 
 from crautomata import (
@@ -20,7 +22,7 @@ from crautomata import (
     extend_excl_dupl,
     preimage_table,
 )
-from crautomata.canonical import CanonicalWordSet, PairWordSet
+from crautomata.canonical import CanonicalWordSet
 
 LETTERS = tuple("abcdefgh")
 
@@ -103,24 +105,23 @@ def test_canonical_set_closure_and_size(bundle, cap):
     # build_gamma's reading of the pair walk rests on its prefix closure too
     d, _, _ = bundle
     cap = min(cap, d.n - 1)
-    for walk in (CanonicalWordSet, PairWordSet):
-        cws = walk(d)
-        cws.grow(cap)
-        words = {w for w, _ in cws.entries}
-        assert () in words
-        for w in words:
-            if w:
-                assert w[:-1] in words, walk  # prefix of a kept word is kept
-        for k in range(1, cap + 1):
-            count = len(cws.signatures_of_defect(k))
-            assert count < math.comb(d.n, k) ** 2
-        for w, pair in cws.entries:
-            whole = excl_dupl(d, w)
-            if walk is CanonicalWordSet:
-                assert pair == whole
-            else:  # a pair entry's dupl set is the states it holds
-                assert pair.excl == whole.excl
-                assert pair.dupl.issubset(whole.dupl)
+    cws = CanonicalWordSet(d)
+    cws.grow(cap)
+    words = {w for w, _ in cws.entries}
+    assert () in words
+    for w in words:
+        if w:
+            assert w[:-1] in words  # prefix of a kept word is kept
+    least = least_pairs(shortlex_signatures(d, cap))
+    for k in range(cap + 1):
+        listed = cws.signatures_of_defect(k)
+        assert [(cws.word(c), em, dm) for c, em, dm in listed] == least[k]
+        if k:
+            assert len(listed) < math.comb(d.n, k) ** 2
+    for w, pair in cws.entries:
+        whole = excl_dupl(d, w)  # an entry's dupl set is the states it holds
+        assert pair.excl == whole.excl
+        assert pair.dupl.issubset(whole.dupl)
 
 
 def test_failing_property_test_fails_the_run_without_aborting_it(tmp_path):

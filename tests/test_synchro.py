@@ -43,6 +43,21 @@ def test_bound_formulas_frozen():
         compress_length_bound(0, 2)
     with pytest.raises(ValueError, match="subset size 2 out of range 2..1"):
         compress_length_bound(1, 2)
+    # A bool or a float is not a count, even where it equals an integer.
+    bounds = (
+        cerny_bound,
+        cubic_reset_bound,
+        avoiding_length_bound,
+        halving_length_bound,
+        lambda n: compress_length_bound(n, 2),
+    )
+    for bad in (2.5, 4.0, True):
+        count = f"^state count must be an integer, got {bad}$"
+        for bound in bounds:
+            with pytest.raises(ValueError, match=count):
+                bound(bad)
+        with pytest.raises(ValueError, match=f"^subset size must be an integer, got {bad}$"):
+            compress_length_bound(4, bad)
 
 
 def test_cubic_grows_slower_than_cerny_eventually():
