@@ -108,8 +108,9 @@ class CanonicalWordSet:
 
     A kept entry ``(code, excl mask, held mask)`` says that the code's word
     is the least word with that excl set and q in its dupl set, for every q
-    in the held mask, which ``entries`` reports as the dupl set.  The first
-    entry kept for an excl set holds the whole dupl set of its word.
+    in the held mask, a subset of the word's dupl set that ``entries``
+    reports in the dupl field.  The first entry kept for an excl set holds
+    the whole dupl set of its word.
     """
 
     def __init__(self, dfa: Dfa):
@@ -119,11 +120,12 @@ class CanonicalWordSet:
         # word(code) builds the word behind a kept entry's code.
         self.word = word_decoder(m)
         width = 2 * n
-        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n.
-        self._rows = [
-            sum(1 << (q + a * width + n) for a, q in enumerate(row))
-            for row in dfa.delta
-        ]
+        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n,
+        # filled one letter column at a time.
+        rows = [0] * n
+        for shift, column in zip(range(n, m * width, width), zip(*dfa.delta)):
+            rows = [r | 1 << shift + q for r, q in zip(rows, column)]
+        self._rows = rows
         # Every field's high half set: that half's mask times the m-digit
         # repunit in base 2**width.
         self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)
@@ -144,7 +146,14 @@ class CanonicalWordSet:
 
     @property
     def entries(self) -> list[tuple[Word, ExclDuplPair]]:
-        """Every kept word with its excl set and held states, in shortlex order."""
+        """Every kept word with its excl set and held states, in shortlex order.
+
+        The ``ExclDuplPair`` of an entry holds the word's excl set, and in
+        its ``dupl`` field the entry's held states: a subset of the word's
+        dupl set, the states for which the word is the least word.  The
+        first entry kept for an excl set holds the whole dupl set of its
+        word; ``excl_dupl`` gives any word's own pair.
+        """
         # Codes are distinct and ordered as their words are.
         merged = sorted(e for entries in self._by_defect for e in entries)
         word = self.word
@@ -164,8 +173,11 @@ class CanonicalWordSet:
     def signatures_of_defect(self, k: int) -> list[_Entry]:
         """Raw (code, excl mask, held mask) triples of defect exactly k.
 
-        This is the stored list itself, in shortlex order; do not mutate it.
-        ``word(code)`` builds a triple's word.
+        These are pair entries, not whole signatures: the held mask is the
+        subset of the word's dupl set for which the word is the least word,
+        and it is the whole dupl set only in the first entry kept for an
+        excl set.  This is the stored list itself, in shortlex order; do not
+        mutate it.  ``word(code)`` builds a triple's word.
         """
         if k > self.defect_cap:
             raise ValueError(

@@ -1,6 +1,10 @@
 """Simple directed graphs and their strongly connected components.
 
-No condensation routine lives here: the hierarchy maps each edge through
+A graph holds, beside its edge set, one out-neighbour mask per vertex:
+bit t of ``rows[s]`` is set iff (s, t) is an edge.  Tarjan's algorithm
+walks those rows, lowest bit first.
+
+No condensation routine lives here: the hierarchy maps each row through
 ``ClusterPartition.cluster_id`` where it needs the condensation, and the
 SCC numbering is reverse topological, so a sink cluster is one that no
 edge leaves.
@@ -8,31 +12,39 @@ edge leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .automaton import _is_int
 
 
 @dataclass(frozen=True)
 class SimpleDigraph:
-    """A directed graph without parallel edges on vertices 0..vertex_count-1."""
+    """A directed graph without parallel edges on vertices 0..vertex_count-1.
+
+    ``rows[s]`` is the mask of the out-neighbours of s, built from
+    ``edges`` in the pass that validates them.
+    """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.vertex_count < 0:
+        nv = self.vertex_count
+        if not _is_int(nv):
+            raise ValueError(f"vertex_count must be an integer, got {nv!r}")
+        if nv < 0:
             raise ValueError("vertex_count must be non-negative")
-        for s, t in self.edges:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
+        edges = frozenset(self.edges)
+        rows = [0] * nv
+        for s, t in edges:
+            if not (_is_int(s) and _is_int(t)):
+                raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint that is not an integer")
+            if not (0 <= s < nv and 0 <= t < nv):
                 raise ValueError(f"edge ({s}, {t}) has an endpoint out of range")
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for s, t in self.edges:
-            adj[s].append(t)
-        for row in adj:
-            row.sort()
-        return adj
+            rows[s] |= 1 << t
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -49,11 +61,14 @@ def strongly_connected_components(g: SimpleDigraph) -> ClusterPartition:
     Components are numbered in completion order, which is the reverse
     topological order of the condensation: an edge between clusters always
     goes from a higher cluster index to a lower one.  Roots are scanned in
-    vertex order and neighbor lists are sorted, so the numbering is
-    deterministic.
+    vertex order and each row's neighbours in ascending order, so the
+    numbering is deterministic.  A vertex with an empty row is a component
+    of its own and completes as soon as it is reached.
     """
     nv = g.vertex_count
-    adj = g.adjacency()
+    rows = g.rows
+    # todo[v] holds the neighbours of v not yet scanned.
+    todo = list(rows)
     order = [-1] * nv
     low = [0] * nv
     # A visited vertex is on the stack exactly until its component is found.
@@ -65,21 +80,36 @@ def strongly_connected_components(g: SimpleDigraph) -> ClusterPartition:
     for root in range(nv):
         if order[root] != -1:
             continue
-        order[root] = low[root] = counter
+        order[root] = counter
+        if not todo[root]:
+            comp_of[root] = len(components)
+            components.append((root,))
+            continue
+        low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(adj[root]))]
+        work = [root]
         while work:
-            v, children = work[-1]
-            for u in children:
+            v = work[-1]
+            rest = todo[v]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length() - 1
                 if order[u] == -1:
-                    order[u] = low[u] = counter
+                    order[u] = counter
+                    if not todo[u]:
+                        comp_of[u] = len(components)
+                        components.append((u,))
+                        continue
+                    low[u] = counter
                     counter += 1
                     stack.append(u)
-                    work.append((u, iter(adj[u])))
+                    work.append(u)
+                    todo[v] = rest
                     break
-                if comp_of[u] == -1:
-                    low[v] = min(low[v], order[u])
+                if comp_of[u] == -1 and order[u] < low[v]:
+                    low[v] = order[u]
             else:
                 work.pop()
                 if low[v] == order[v]:
@@ -93,8 +123,9 @@ def strongly_connected_components(g: SimpleDigraph) -> ClusterPartition:
                     comp.sort()
                     components.append(tuple(comp))
                 if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    parent = work[-1]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
 
     return ClusterPartition(tuple(comp_of), tuple(components))
 

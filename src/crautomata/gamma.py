@@ -11,6 +11,12 @@ cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
 the forest's top level, which holds the terminal level's clusters.
 
+A level graph is carried as one out-neighbour mask per vertex, its row.
+The loop collects each vertex's forced edges as a mask, the level's
+``SimpleDigraph`` holds the rows of all its edges, Tarjan walks those
+rows, and the next level's inherited edges are the rows of each cluster's
+members mapped through the cluster ids.
+
 The decision reads only each kept word's excluded set and duplicate states.
 So every forced edge records its word's shortlex code, and ``forcing``
 builds a word only when it is read: the DOT and JSON renderings and
@@ -20,8 +26,9 @@ builds a word only when it is read: the DOT and JSON renderings and
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .automaton import Dfa, StateSet, Word, iter_bits
 from .canonical import CanonicalWordSet
@@ -87,19 +94,29 @@ class ClusterForest:
 
     def add_level(self, groups: list[list[int]]) -> list[int]:
         """Append a level whose nodes own the given groups of current top nodes."""
-        grouped = [node for group in groups for node in group]
-        if sorted(grouped) != list(range(self._starts[-2], self._starts[-1])):
+        first, stop = self._starts[-2:]
+        flat = sorted(chain.from_iterable(groups))
+        if not all(groups) or flat != list(range(first, stop)):
             raise ValueError("groups must partition the current top level")
-        for group in groups:
-            nid = len(self._parent)
-            mask = 0
-            for member in group:
-                self._parent[member] = nid
-                mask |= self._leafage[member]
-            self._parent.append(None)
-            self._leafage.append(mask)
-        self._starts.append(len(self._parent))
-        return self.level_nodes(self.level_count)
+        cluster_id = [0] * (stop - first)
+        for i, group in enumerate(groups):
+            for node in group:
+                cluster_id[node - first] = i
+        self._push_level(cluster_id, len(groups))
+        return list(range(stop, len(self._parent)))
+
+    def _push_level(self, cluster_id: Sequence[int], count: int) -> None:
+        """Append ``count`` nodes, new node i owning the top nodes first + v
+        with ``cluster_id[v] == i``; every i below count must occur."""
+        parent, leafage = self._parent, self._leafage
+        first, stop = self._starts[-2:]
+        masks = [0] * count
+        for c, mask in zip(cluster_id, leafage[first:]):
+            masks[c] |= mask
+        parent[first:] = [stop + c for c in cluster_id]
+        parent += [None] * count
+        leafage += masks
+        self._starts.append(len(parent))
 
 
 class ForcingWords(Mapping[tuple[int, int], Word]):
@@ -179,52 +196,86 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     word.  X fits inside the leafage of at most one cluster (leafages
     partition the states), and when it does, w forces an edge from that
     cluster to every other cluster whose leafage meets D; each edge keeps
-    the first word that forces it.  Each edge records the code of its word,
-    and the walk's decoder builds the word when ``forcing`` is read, so the
-    decision itself builds no word.  New forest node i is SCC cluster i, so
-    the cluster ids carry ``owner`` (state -> level-k vertex) and the
-    condensation up one level.  Levels with no fresh edges and no
+    the first word that forces it.  The loop keeps each vertex's forced
+    out-neighbours as one mask: a word's destinations are D mapped to level
+    vertices (D itself at level 1, where vertex q is state q), and its new
+    edges go to those not yet in the source's mask, other than the source,
+    recorded in ascending order.  Each edge records the code of its word, and the walk's decoder
+    builds the word when ``forcing`` is read, so the decision itself builds
+    no word.  New forest node i is SCC cluster i, so the cluster ids carry
+    ``owner`` (state -> level-k vertex) and the graph's rows, as the
+    condensation, up one level.  Levels with no fresh edges and no
     condensation progress are simply iterated past; the leafage test bounds
     the number of steps by n-1.
     """
     n = dfa.n
     forest = ClusterForest(n)
+    starts, leafages = forest._starts, forest._leafage
     cws = CanonicalWordSet(dfa)
     levels: list[GammaLevel] = []
     inherited: frozenset[tuple[int, int]] = frozenset()
     owner = list(range(n))
+    vertex_bit: list[int] = []  # 1 << owner[q], read above level 1
     k = 1
     while True:
         cws.grow(k)
-        vertices = forest.level_nodes(k)
-        leaf = forest.leafage_masks(k)
+        first, stop = starts[k - 1], starts[k]
+        leaf = tuple(leafages[first:stop])
+        forced = [0] * (stop - first)
         codes: dict[tuple[int, int], int] = {}
         for code, em, dm in cws.signatures_of_defect(k):
-            src = owner[em.bit_length() - 1]
-            if em & ~leaf[src]:
-                continue
-            # Words come in shortlex order and each edge keeps its first, so
-            # sorting puts ``forcing`` in (len(w), w, edge) order.
-            for dst in sorted({owner[q] for q in iter_bits(dm)}):
-                if dst != src:
-                    codes.setdefault((src, dst), code)
-        graph = SimpleDigraph(len(vertices), inherited | set(codes))
+            if k == 1:  # a defect-1 excl set is one state, a vertex of its own
+                src, dst = em.bit_length() - 1, dm
+            else:
+                src = owner[em.bit_length() - 1]
+                if em & ~leaf[src]:
+                    continue
+                dst = _image(dm, vertex_bit)
+            new = dst & ~(forced[src] | 1 << src)
+            if new:
+                forced[src] |= new
+                # Words come in shortlex order and each edge keeps its first,
+                # so ascending destinations put ``forcing`` in (len(w), w,
+                # edge) order.
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    codes[src, bit.bit_length() - 1] = code
+        graph = SimpleDigraph(len(leaf), inherited | codes.keys())
         forcing = ForcingWords(codes, cws.word)
-        levels.append(GammaLevel(k, tuple(vertices), leaf, graph, forcing, inherited))
+        vertices = tuple(range(first, stop))
+        levels.append(GammaLevel(k, vertices, leaf, graph, forcing, inherited))
         part = strongly_connected_components(graph)
-        forest.add_level([[vertices[v] for v in cluster] for cluster in part.clusters])
+        forest._push_level(part.cluster_id, len(part.clusters))
         if len(part.clusters) == 1:
             return GammaResult(SUCCESS, k, tuple(levels), forest)
-        if all(mask.bit_count() <= k for mask in forest.leafage_masks(k + 1)):
+        if max(map(int.bit_count, leafages[stop:])) <= k:
             return GammaResult(FAILURE, k, tuple(levels), forest)
         cid = part.cluster_id
+        cluster_bit = [1 << c for c in cid]
+        rows = [0] * len(part.clusters)
+        for c, row in zip(cid, graph.rows):
+            rows[c] |= row
         inherited = frozenset(
-            (cid[s], cid[t]) for s, t in graph.edges if cid[s] != cid[t]
+            (c, t)
+            for c, row in enumerate(rows)
+            for t in iter_bits(_image(row, cluster_bit) & ~(1 << c))
         )
+        vertex_bit = [cluster_bit[v] for v in owner]
         owner = [cid[v] for v in owner]
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")
+
+
+def _image(mask: int, bits: list[int]) -> int:
+    """The union of ``bits[i]`` over the set bits i of ``mask``."""
+    image = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        image |= bits[bit.bit_length() - 1]
+    return image
 
 
 def decide_complete_reachability(dfa: Dfa) -> tuple[bool, GammaResult]:

@@ -117,10 +117,21 @@ def test_cardinality_bound():
 
 
 def test_stored_signature_matches_word():
-    dfa = e_family(6, 4)
-    cws = grown_to(dfa, 4)
-    for w, pair in cws.entries:
-        assert_holds_its_word(dfa, w, pair)
+    # An entry's dupl field holds its held states, a subset of its word's
+    # dupl set; the first entry kept for an excl set holds the whole set.
+    dfas = [e_family(6, 4), fixed_example("e5"), cerny(6)]
+    dfas += [random_dfa(3 + i % 6, 1 + i % 3, 500 + i) for i in range(40)]
+    partial = 0
+    for dfa in dfas:
+        first = set()
+        for w, pair in grown_to(dfa, dfa.n - 1).entries:
+            assert_holds_its_word(dfa, w, pair)
+            if pair.excl not in first:
+                first.add(pair.excl)
+                assert pair.dupl == excl_dupl(dfa, w).dupl, (dfa, w)
+            else:
+                partial += pair.dupl != excl_dupl(dfa, w).dupl
+    assert partial
 
 
 def test_signature_sets_match_monoid_oracle():

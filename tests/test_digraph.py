@@ -98,6 +98,57 @@ def test_scc_matches_bruteforce_oracle():
                 assert part.cluster_id[v] == i
 
 
+def tarjan_reference(g):
+    """Recursive Tarjan over sorted adjacency lists, roots in vertex order:
+    the numbering ``strongly_connected_components`` must reproduce."""
+    adjacency = [sorted(t for s, t in g.edges if s == v) for v in range(g.vertex_count)]
+    order, low, on_stack, stack = {}, {}, set(), []
+    cluster_id, clusters = [None] * g.vertex_count, []
+
+    def visit(v):
+        order[v] = low[v] = len(order)
+        stack.append(v)
+        on_stack.add(v)
+        for u in adjacency[v]:
+            if u not in order:
+                visit(u)
+                low[v] = min(low[v], low[u])
+            elif u in on_stack:
+                low[v] = min(low[v], order[u])
+        if low[v] == order[v]:
+            members = []
+            while not members or members[-1] != v:
+                members.append(stack.pop())
+                on_stack.discard(members[-1])
+            for u in members:
+                cluster_id[u] = len(clusters)
+            clusters.append(tuple(sorted(members)))
+
+    for v in range(g.vertex_count):
+        if v not in order:
+            visit(v)
+    return tuple(cluster_id), tuple(clusters)
+
+
+def test_scc_numbering_matches_recursive_tarjan():
+    # Sinks, isolated vertices and self-loops at sizes on both sides of 64,
+    # since forest ids and every hierarchy digest follow this numbering.
+    rng = random.Random(20)
+    for trial in range(300):
+        n = rng.choice((rng.randint(1, 12), rng.randint(60, 140)))
+        sinks = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        isolated = set(rng.sample(range(n), rng.randint(0, n // 4)))
+        edges = set()
+        for _ in range(rng.randint(0, 3 * n)):
+            s, t = rng.randrange(n), rng.randrange(n)
+            if s not in sinks and not {s, t} & isolated:
+                edges.add((s, t))
+        edges |= {(v, v) for v in rng.sample(range(n), rng.randint(0, n // 5))}
+        g = SimpleDigraph(n, edges)
+        part = strongly_connected_components(g)
+        assert (part.cluster_id, part.clusters) == tarjan_reference(g), trial
+
+
 def test_scc_deterministic():
     edges = frozenset({(0, 1), (1, 0), (2, 1), (3, 4), (4, 3), (1, 3)})
     g = SimpleDigraph(5, edges)
@@ -158,5 +209,11 @@ def test_graph_validation():
         SimpleDigraph(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError, match="non-negative"):
         SimpleDigraph(-1, ())
+    for count in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="vertex_count must be an integer"):
+            SimpleDigraph(count, ())
+    for edge in ((0.0, 1), (0, 1.0), (True, 0), (0, True), (False, 1), ("0", 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            SimpleDigraph(2, {edge})
     with pytest.raises(ValueError):
         is_strongly_connected(SimpleDigraph(0, frozenset()))

@@ -5,6 +5,7 @@ from canonical_reference import shortlex_signatures
 from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
+    CanonicalWordSet,
     ClusterForest,
     Dfa,
     FAILURE,
@@ -164,13 +165,37 @@ def test_witness_usage_error_on_success():
 
 
 def test_gamma1_edgeless_failure():
-    # both letters have defect 2: no defect-1 word exists, failure at step 1
-    d = Dfa(4, ("a", "b"), ((0, 1), (0, 1), (0, 1), (0, 1)))
-    result = build_gamma(d)
-    assert result.outcome == FAILURE and result.terminal_step == 1
-    assert result.levels[0].graph.edges == frozenset()
-    witness = unreachable_witness(result, d)
-    assert witness == StateSet([1, 2, 3])  # complement of the smallest sink
+    # No defect-1 word exists, so level 1 has no edge and fails at step 1:
+    # both letters of the first automaton have defect 2, the second is a
+    # permutation, and the last has more states than one machine word.
+    dfas = [
+        Dfa(4, ("a", "b"), ((0, 1), (0, 1), (0, 1), (0, 1))),
+        Dfa(3, ("a",), ((1,), (2,), (0,))),
+        random_dfa(8, 2, 1),
+        random_dfa(70, 2, 1),
+    ]
+    for dfa in dfas:
+        n = dfa.n
+        walk = CanonicalWordSet(dfa)
+        walk.grow(1)
+        assert walk.signatures_of_defect(1) == []
+        result = build_gamma(dfa)
+        assert result.outcome == FAILURE and result.terminal_step == 1
+        (level,) = result.levels
+        assert level.vertices == tuple(range(n)) and level.graph.vertex_count == n
+        assert level.graph.edges == frozenset() and level.graph.rows == (0,) * n
+        assert level.forcing == {} and level.inherited == frozenset()
+        forest = result.forest
+        assert forest.level_count == 2
+        assert forest.leafage_masks(2) == tuple(1 << q for q in range(n))
+        assert [forest.parent_of(q) for q in range(n)] == list(range(n, 2 * n))
+        # the complement of the smallest sink, {0}
+        witness = unreachable_witness(result, dfa)
+        assert witness == StateSet(range(1, n))
+        if n <= 12:
+            assert powerset_reach_map(dfa).word_for(witness) is None
+        else:  # every letter's image misses two states, so every word's does
+            assert all(len(set(column)) <= n - 2 for column in zip(*dfa.delta))
 
 
 def test_single_state_automaton():
@@ -220,7 +245,7 @@ def test_forest_levels_and_their_guards():
         for accessor in (forest.level_nodes, forest.leafage_masks):
             with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
                 accessor(level)
-    for groups in ([], [[5], [5]], [[4]]):
+    for groups in ([], [[5], [5]], [[4]], [[5], []]):
         with pytest.raises(ValueError, match="partition the current top level"):
             forest.add_level(groups)
     assert forest.level_count == 3 and forest.node_count == 6
@@ -307,9 +332,11 @@ def hierarchy_corpus():
 
 def test_forcing_is_in_word_order():
     # reach_word takes a level's first penetrating entry as the one with the
-    # shortest, then shortlex-least, forcing word.
+    # shortest, then shortlex-least, forcing word.  A level's edges are its
+    # inherited and forced edges.
     for dfa in hierarchy_corpus():
         for level in build_gamma(dfa).levels:
+            assert level.graph.edges == level.inherited | set(level.forcing)
             items = list(level.forcing.items())
             assert items == sorted(items, key=lambda it: (len(it[1]), it[1], it[0]))
 
