@@ -1,8 +1,8 @@
 """Simple directed graphs and their strongly connected components.
 
-A graph holds, beside its edge set, one out-neighbour mask per vertex:
-bit t of ``rows[s]`` is set iff (s, t) is an edge.  Tarjan's algorithm
-walks those rows, lowest bit first.
+A graph is stored only as one out-neighbour mask per vertex, its row: bit t
+of ``rows[s]`` is set iff (s, t) is an edge.  Tarjan's algorithm walks the
+rows, lowest bit first; the edge pairs are built only where they are read.
 
 No condensation routine lives here: the hierarchy maps each row through
 ``ClusterPartition.cluster_id`` where it needs the condensation, and the
@@ -12,39 +12,41 @@ edge leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .automaton import _is_int
+from .automaton import _is_int, _is_list, iter_bits
 
 
 @dataclass(frozen=True)
 class SimpleDigraph:
     """A directed graph without parallel edges on vertices 0..vertex_count-1.
 
-    ``rows[s]`` is the mask of the out-neighbours of s, built from
-    ``edges`` in the pass that validates them.
+    ``rows[s]`` is the mask of the out-neighbours of s.  ``edges``, the
+    frozenset of (s, t) pairs, is read off the rows on first access.
     """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        nv = self.vertex_count
-        if not _is_int(nv):
-            raise ValueError(f"vertex_count must be an integer, got {nv!r}")
-        if nv < 0:
-            raise ValueError("vertex_count must be non-negative")
-        edges = frozenset(self.edges)
-        rows = [0] * nv
-        for s, t in edges:
-            if not (_is_int(s) and _is_int(t)):
-                raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint that is not an integer")
-            if not (0 <= s < nv and 0 <= t < nv):
-                raise ValueError(f"edge ({s}, {t}) has an endpoint out of range")
-            rows[s] |= 1 << t
-        object.__setattr__(self, "edges", edges)
+        nv, rows = self.vertex_count, self.rows
+        if not _is_int(nv) or nv < 0:
+            raise ValueError(f"vertex_count must be a non-negative integer, got {nv!r}")
+        if not _is_list(rows) or len(rows) != nv:
+            raise ValueError(f"rows must be a sequence of {nv} out-neighbour masks")
+        for s, row in enumerate(rows):
+            if not _is_int(row) or row < 0 or row >> nv:
+                raise ValueError(
+                    f"row {s} must be a mask of vertices below {nv}, got {row!r}"
+                )
         object.__setattr__(self, "rows", tuple(rows))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (s, t) for s, row in enumerate(self.rows) for t in iter_bits(row)
+        )
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
 the forest's top level, which holds the terminal level's clusters.
 
-A level graph is carried as one out-neighbour mask per vertex, its row.
-The loop collects each vertex's forced edges as a mask, the level's
-``SimpleDigraph`` holds the rows of all its edges, Tarjan walks those
-rows, and the next level's inherited edges are the rows of each cluster's
-members mapped through the cluster ids.
+A level graph is stored only as rows, one out-neighbour mask per vertex:
+its forced edges ORed with its inherited row, the rows of a previous-level
+cluster's members mapped through the cluster ids.  Edge pairs are built
+only where read, by the renderings and the witness, never by the decision
+on SUCCESS; only the few inherited edges are also kept as pairs.
 
 The decision reads only each kept word's excluded set and duplicate states.
 So every forced edge records its word's shortlex code, and ``forcing``
@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from .automaton import Dfa, StateSet, Word, iter_bits
 from .canonical import CanonicalWordSet
@@ -62,18 +61,10 @@ class ClusterForest:
     def node_count(self) -> int:
         return len(self._parent)
 
-    def _level(self, level: int) -> slice:
+    def level_nodes(self, level: int) -> list[int]:
         if not 1 <= level <= self.level_count:
             raise ValueError(f"no level {level} in a forest of {self.level_count}")
-        return slice(self._starts[level - 1], self._starts[level])
-
-    def level_nodes(self, level: int) -> list[int]:
-        ids = self._level(level)
-        return list(range(ids.start, ids.stop))
-
-    def leafage_masks(self, level: int) -> tuple[int, ...]:
-        """The leafage masks of the level's nodes, in id order."""
-        return tuple(self._leafage[self._level(level)])
+        return list(range(self._starts[level - 1], self._starts[level]))
 
     def _id(self, node: int) -> int:
         if not 0 <= node < len(self._parent):
@@ -91,19 +82,6 @@ class ClusterForest:
 
     def leafage(self, node: int) -> StateSet:
         return StateSet.from_mask(self.leafage_mask(node))
-
-    def add_level(self, groups: list[list[int]]) -> list[int]:
-        """Append a level whose nodes own the given groups of current top nodes."""
-        first, stop = self._starts[-2:]
-        flat = sorted(chain.from_iterable(groups))
-        if not all(groups) or flat != list(range(first, stop)):
-            raise ValueError("groups must partition the current top level")
-        cluster_id = [0] * (stop - first)
-        for i, group in enumerate(groups):
-            for node in group:
-                cluster_id[node - first] = i
-        self._push_level(cluster_id, len(groups))
-        return list(range(stop, len(self._parent)))
 
     def _push_level(self, cluster_id: Sequence[int], count: int) -> None:
         """Append ``count`` nodes, new node i owning the top nodes first + v
@@ -213,7 +191,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     starts, leafages = forest._starts, forest._leafage
     cws = CanonicalWordSet(dfa)
     levels: list[GammaLevel] = []
-    inherited: frozenset[tuple[int, int]] = frozenset()
+    inherited_rows, inherited = [0] * n, frozenset()
     owner = list(range(n))
     vertex_bit: list[int] = []  # 1 << owner[q], read above level 1
     k = 1
@@ -241,7 +219,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
                     bit = new & -new
                     new ^= bit
                     codes[src, bit.bit_length() - 1] = code
-        graph = SimpleDigraph(len(leaf), inherited | codes.keys())
+        graph = SimpleDigraph(len(leaf), [f | i for f, i in zip(forced, inherited_rows)])
         forcing = ForcingWords(codes, cws.word)
         vertices = tuple(range(first, stop))
         levels.append(GammaLevel(k, vertices, leaf, graph, forcing, inherited))
@@ -256,10 +234,11 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         rows = [0] * len(part.clusters)
         for c, row in zip(cid, graph.rows):
             rows[c] |= row
+        inherited_rows = [
+            _image(row, cluster_bit) & ~(1 << c) for c, row in enumerate(rows)
+        ]
         inherited = frozenset(
-            (c, t)
-            for c, row in enumerate(rows)
-            for t in iter_bits(_image(row, cluster_bit) & ~(1 << c))
+            (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
         )
         vertex_bit = [cluster_bit[v] for v in owner]
         owner = [cid[v] for v in owner]
@@ -278,6 +257,14 @@ def _image(mask: int, bits: list[int]) -> int:
     return image
 
 
+def _check_built_for(result: GammaResult, dfa: Dfa) -> None:
+    """Refuse a hierarchy whose level 1 does not have one vertex per state."""
+    if (built := result.levels[0].graph.vertex_count) != dfa.n:
+        raise ValueError(
+            f"the hierarchy was built for {built} states, the automaton has {dfa.n}"
+        )
+
+
 def decide_complete_reachability(dfa: Dfa) -> tuple[bool, GammaResult]:
     """True iff every non-empty subset of states is the image of the full set."""
     result = build_gamma(dfa)
@@ -294,6 +281,7 @@ def unreachable_witness(result: GammaResult, dfa: Dfa) -> StateSet:
     """
     if result.outcome != FAILURE:
         raise ValueError("an unreachable witness only exists for FAILURE results")
+    _check_built_for(result, dfa)
     forest = result.forest
     last = result.levels[-1]
     cluster = [forest.parent_of(nid) for nid in last.vertices]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .automaton import Dfa
+from .automaton import Dfa, _is_int
 
 
 def cerny(n: int) -> Dfa:
@@ -11,8 +11,8 @@ def cerny(n: int) -> Dfa:
     Letter a sends 0 to 1 and fixes every other state; letter b adds 1
     modulo n.
     """
-    if n < 2:
-        raise ValueError(f"cerny requires n >= 2, got {n}")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"cerny requires an integer n >= 2, got {n!r}")
     delta = tuple((i if i > 0 else 1, (i + 1) % n) for i in range(n))
     return Dfa(n, ("a", "b"), delta)
 
@@ -26,8 +26,8 @@ def e_family(n: int, k: int, drop_last_b: bool = False) -> Dfa:
     k = n-1) the letter b_{n-1} is omitted, which turns the completely
     reachable family member into one whose construction fails at step n-1.
     """
-    if not 2 <= k < n:
-        raise ValueError(f"e_family requires 2 <= k < n, got n={n}, k={k}")
+    if not (_is_int(n) and _is_int(k) and 2 <= k < n):
+        raise ValueError(f"e_family requires integers 2 <= k < n, got n={n!r}, k={k!r}")
     if drop_last_b and k != n - 1:
         raise ValueError("drop_last_b requires k = n - 1")
     ell = n - k + 1
@@ -109,8 +109,11 @@ def random_dfa(n: int, m: int, seed: int) -> Dfa:
     also gives the stream splittable seeding if corpora ever need to be
     generated in parallel.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"random_dfa requires n >= 1 and m >= 1, got n={n}, m={m}")
+    if not (_is_int(n) and _is_int(m) and _is_int(seed) and n >= 1 and m >= 1):
+        raise ValueError(
+            "random_dfa requires integers n >= 1, m >= 1 and seed, "
+            f"got n={n!r}, m={m!r}, seed={seed!r}"
+        )
     # Imported here, not at module level: numpy is the package's only
     # dependency and nothing else needs it, so ``import crautomata`` stays
     # fast and small for every command that draws no random automaton.

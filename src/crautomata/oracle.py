@@ -18,6 +18,7 @@ from .automaton import (
     StateSet,
     Transformation,
     Word,
+    _is_int,
     packed_images,
     step_all,
 )
@@ -50,6 +51,8 @@ class Monoid:
 
 
 def _check_guard(dfa: Dfa, max_states: int) -> None:
+    if not _is_int(max_states):
+        raise ValueError(f"max_states must be an integer, got {max_states!r}")
     if dfa.n > max_states:
         raise ValueError(
             f"powerset search refused: {dfa.n} states exceeds the limit of "
@@ -119,6 +122,8 @@ def transition_monoid(
     composition, this equals the set of transformations of positive-defect
     words.
     """
+    if not _is_int(max_size):
+        raise ValueError(f"max_size must be an integer, got {max_size!r}")
     delta = dfa.delta
     identity: Transformation = tuple(range(dfa.n))
     elements: dict[Transformation, Word] = {identity: ()}

@@ -36,7 +36,7 @@ from .automaton import (  # noqa: F401
     preimage_masks,
     transformation_of,
 )
-from .gamma import GammaResult, SUCCESS
+from .gamma import SUCCESS, GammaResult, _check_built_for
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ def reach_word(
     """
     if result.outcome != SUCCESS:
         raise ValueError("reach words exist only when the hierarchy succeeded")
+    _check_built_for(result, dfa)
     if not p:
         raise ValueError("the target subset must be non-empty")
     if p.mask >> dfa.n:

@@ -8,6 +8,7 @@ import pytest
 
 import crautomata
 from crautomata import (
+    SimpleDigraph,
     StateSet,
     apply_word,
     cerny,
@@ -188,6 +189,23 @@ def test_analyze_decodes_no_word(tmp_path, capsys, decodes):
     assert decodes == []
     assert run_cli(["gamma", path]) == 0
     assert decodes
+
+
+def test_analyze_reads_no_edge_pair_on_success(tmp_path, capsys, monkeypatch):
+    # A level graph is stored as rows; its edge pairs are built only where
+    # read, which on SUCCESS is nowhere.
+    reads = []
+    edges = SimpleDigraph.edges
+    monkeypatch.setattr(
+        SimpleDigraph, "edges", property(lambda g: reads.append(g) or edges.func(g))
+    )
+    for dfa in (fixed_example("e5"), cerny(24), e_family(9, 4)):
+        assert run_cli(["analyze", write_dfa(tmp_path, dfa)]) == 0
+    assert reads == []
+    bad = write_dfa(tmp_path, e_family(5, 4, drop_last_b=True))
+    assert run_cli(["analyze", bad]) == 1
+    assert reads  # the unreachable witness reads the terminal level's edges
+    capsys.readouterr()
 
 
 def test_analyze_json(tmp_path, capsys):

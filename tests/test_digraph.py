@@ -9,6 +9,14 @@ from crautomata.digraph import (
 )
 
 
+def graph(n, edges):
+    """The graph on n vertices with the given (s, t) edges, as its rows."""
+    rows = [0] * n
+    for s, t in edges:
+        rows[s] |= 1 << t
+    return SimpleDigraph(n, rows)
+
+
 def _reachable(n, adjacency, start):
     seen = {start}
     stack = [start]
@@ -48,7 +56,7 @@ def scc_by_mutual_reachability(g):
 
 
 def test_scc_edgeless():
-    g = SimpleDigraph(3, frozenset())
+    g = graph(3, frozenset())
     part = strongly_connected_components(g)
     assert set(part.clusters) == {(0,), (1,), (2,)}
     assert not is_strongly_connected(g)
@@ -62,19 +70,19 @@ def test_scc_two_cycles():
     for cycle in (evens, odds):
         for i, v in enumerate(cycle):
             edges.add((v, cycle[(i + 1) % 6]))
-    g = SimpleDigraph(12, frozenset(edges))
+    g = graph(12, frozenset(edges))
     part = strongly_connected_components(g)
     assert set(part.clusters) == {tuple(range(0, 12, 2)), tuple(range(1, 12, 2))}
 
 
 def test_scc_single_vertex():
-    g = SimpleDigraph(1, frozenset())
+    g = graph(1, frozenset())
     assert is_strongly_connected(g)
 
 
 def test_scc_reverse_topological_numbering():
     # a chain 0 -> 1 -> 2: clusters must be numbered sinks-first
-    g = SimpleDigraph(3, frozenset({(0, 1), (1, 2)}))
+    g = graph(3, frozenset({(0, 1), (1, 2)}))
     part = strongly_connected_components(g)
     assert part.clusters == ((2,), (1,), (0,))
     assert part.cluster_id == (2, 1, 0)
@@ -90,7 +98,8 @@ def test_scc_matches_bruteforce_oracle():
             (rng.randrange(n), rng.randrange(n))
             for _ in range(rng.randint(0, 2 * n))
         )
-        g = SimpleDigraph(n, edges)
+        g = graph(n, edges)
+        assert g.edges == edges  # read back off the rows
         part = strongly_connected_components(g)
         assert set(part.clusters) == scc_by_mutual_reachability(g)
         for i, cluster in enumerate(part.clusters):
@@ -144,14 +153,15 @@ def test_scc_numbering_matches_recursive_tarjan():
             if s not in sinks and not {s, t} & isolated:
                 edges.add((s, t))
         edges |= {(v, v) for v in rng.sample(range(n), rng.randint(0, n // 5))}
-        g = SimpleDigraph(n, edges)
+        g = graph(n, edges)
+        assert g.edges == edges, trial
         part = strongly_connected_components(g)
         assert (part.cluster_id, part.clusters) == tarjan_reference(g), trial
 
 
 def test_scc_deterministic():
     edges = frozenset({(0, 1), (1, 0), (2, 1), (3, 4), (4, 3), (1, 3)})
-    g = SimpleDigraph(5, edges)
+    g = graph(5, edges)
     parts = [strongly_connected_components(g).clusters for _ in range(3)]
     assert parts[0] == parts[1] == parts[2]
 
@@ -159,7 +169,7 @@ def test_scc_deterministic():
 def test_condensation_gamma1_e5_shape():
     # level-1 graph of the five-state fixture: three clusters, one induced edge
     edges = frozenset({(0, 1), (1, 0), (2, 0), (3, 4), (4, 3)})
-    g = SimpleDigraph(5, edges)
+    g = graph(5, edges)
     part = strongly_connected_components(g)
     assert set(part.clusters) == {(0, 1), (2,), (3, 4)}
     src = part.clusters.index((2,))
@@ -168,7 +178,7 @@ def test_condensation_gamma1_e5_shape():
 
 
 def test_condensation_strongly_connected_input():
-    g = SimpleDigraph(2, frozenset({(0, 1), (1, 0)}))
+    g = graph(2, frozenset({(0, 1), (1, 0)}))
     part = strongly_connected_components(g)
     assert len(part.clusters) == 1 and cluster_edges(g, part) == set()
 
@@ -180,7 +190,7 @@ def test_condensation_acyclic_on_random_graphs():
         edges = frozenset(
             (rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)
         )
-        g = SimpleDigraph(n, edges)
+        g = graph(n, edges)
         part = strongly_connected_components(g)
         edges = cluster_edges(g, part)
         # Kahn peeling must consume every cluster vertex
@@ -205,15 +215,23 @@ def test_condensation_acyclic_on_random_graphs():
 
 
 def test_graph_validation():
+    for count in (-1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="^vertex_count must be a non-negative"):
+            SimpleDigraph(count, (0, 0))
+    for rows in ((0,), (0, 0, 0), (), None, 3, "ab", {0, 1}):
+        with pytest.raises(ValueError, match="^rows must be a sequence of 2 out-neigh"):
+            SimpleDigraph(2, rows)
+    # rows of a bool, a float, a string, a negative mask, or a bit at or
+    # above vertex_count
+    for row in (1.0, True, False, "1", None, 2**70 + 0.0, -1, 0b100, 1 << 64):
+        with pytest.raises(ValueError, match="^row 1 must be a mask of vertices below 2"):
+            SimpleDigraph(2, [0, row])
+    for bad in ((0, 1.0), (2, (True, 0)), (1, (0, 4)), (1, (2,)), (-3, ())):
+        with pytest.raises(ValueError) as info:
+            SimpleDigraph(*bad)
+        assert "\n" not in str(info.value)
     with pytest.raises(ValueError):
-        SimpleDigraph(2, frozenset({(0, 5)}))
-    with pytest.raises(ValueError, match="non-negative"):
-        SimpleDigraph(-1, ())
-    for count in (2.0, True, "2", None):
-        with pytest.raises(ValueError, match="vertex_count must be an integer"):
-            SimpleDigraph(count, ())
-    for edge in ((0.0, 1), (0, 1.0), (True, 0), (0, True), (False, 1), ("0", 1)):
-        with pytest.raises(ValueError, match="not an integer"):
-            SimpleDigraph(2, {edge})
-    with pytest.raises(ValueError):
-        is_strongly_connected(SimpleDigraph(0, frozenset()))
+        is_strongly_connected(graph(0, frozenset()))
+    g = SimpleDigraph(3, [0b110, 0, 0b001])
+    assert g.rows == (0b110, 0, 0b001) and g == SimpleDigraph(3, (6, 0, 1))
+    assert g.edges == frozenset({(0, 1), (0, 2), (2, 0)})

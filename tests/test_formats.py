@@ -159,6 +159,21 @@ def test_gamma_doc_shape():
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_edge_both_inherited_and_forced_exports_its_word():
+    # An edge both inherited and freshly forced is exported with its
+    # forcing word only; tests/test_golden.py pins this automaton's export.
+    dfa = random_dfa(6, 2, 5)
+    result = build_gamma(dfa)
+    doc = gamma_to_doc(result, dfa)
+    assert (result.outcome, result.terminal_step) == ("FAILURE", 4)
+    for level, rendered in zip(result.levels, doc["levels"]):
+        both = level.inherited & level.forcing.keys()
+        assert len(both) == (0 if level.level == 1 else 2)
+        for edge in rendered["edges"]:
+            if (edge["src"], edge["dst"]) in both:
+                assert "forced_by" in edge and "inherited" not in edge
+
+
 def test_gamma_doc_failure_case():
     from crautomata import e_family
 

@@ -6,7 +6,6 @@ from test_synchro_reference import cycle_idempotent
 
 from crautomata import (
     CanonicalWordSet,
-    ClusterForest,
     Dfa,
     FAILURE,
     SUCCESS,
@@ -164,6 +163,17 @@ def test_witness_usage_error_on_success():
         unreachable_witness(result, e5)
 
 
+def test_witness_refuses_a_hierarchy_of_another_size():
+    # The e_family twin's 5-state hierarchy used to give cerny(7) the
+    # witness {4, 5, 6}.
+    twin = build_gamma(e_family(5, 4, drop_last_b=True))
+    for dfa, n in ((cerny(7), 7), (cerny(4), 4)):
+        message = f"^the hierarchy was built for 5 states, the automaton has {n}$"
+        with pytest.raises(ValueError, match=message):
+            unreachable_witness(twin, dfa)
+    assert unreachable_witness(twin, e_family(5, 4, drop_last_b=True)) == StateSet([4])
+
+
 def test_gamma1_edgeless_failure():
     # No defect-1 word exists, so level 1 has no edge and fails at step 1:
     # both letters of the first automaton have defect 2, the second is a
@@ -187,7 +197,8 @@ def test_gamma1_edgeless_failure():
         assert level.forcing == {} and level.inherited == frozenset()
         forest = result.forest
         assert forest.level_count == 2
-        assert forest.leafage_masks(2) == tuple(1 << q for q in range(n))
+        top = [forest.leafage_mask(nid) for nid in forest.level_nodes(2)]
+        assert top == [1 << q for q in range(n)]
         assert [forest.parent_of(q) for q in range(n)] == list(range(n, 2 * n))
         # the complement of the smallest sink, {0}
         witness = unreachable_witness(result, dfa)
@@ -218,37 +229,44 @@ def test_single_state_automaton():
 
 
 def test_forest_levels_and_their_guards():
-    forest = ClusterForest(3)
-    assert forest.add_level([[2], [0, 1]]) == [3, 4]
-    assert forest.add_level([[4, 3]]) == [5]
-    assert forest.level_count == 3 and forest.node_count == 6
-    assert [forest.level_nodes(k) for k in (1, 2, 3)] == [[0, 1, 2], [3, 4], [5]]
-    assert [forest.level_of(nid) for nid in range(6)] == [1, 1, 1, 2, 2, 3]
-    assert [forest.parent_of(nid) for nid in range(6)] == [4, 4, 3, 5, 5, None]
-    assert forest.leafage_mask(4) == 0b011 and forest.leafage_mask(5) == 0b111
-    masks = [forest.leafage_masks(k) for k in (1, 2, 3)]
-    assert masks == [(0b001, 0b010, 0b100), (0b100, 0b011), (0b111,)]
-    accessors = (
-        forest.parent_of, forest.level_of, forest.leafage_mask, forest.leafage
-    )
-    for accessor in accessors:
-        for nid in (6, -1, -6):
-            with pytest.raises(IndexError):
-                accessor(nid)
     e5 = build_gamma(fixed_example("e5")).forest
-    for accessor in (e5.parent_of, e5.level_of, e5.leafage_mask, e5.leafage):
-        with pytest.raises(IndexError, match="no node -1 in a forest of 11"):
-            accessor(-1)
-        with pytest.raises(IndexError, match="no node 11 in a forest of 11"):
-            accessor(11)
-    for level in (0, 4):
-        for accessor in (forest.level_nodes, forest.leafage_masks):
-            with pytest.raises(ValueError, match=f"no level {level} in a forest of 3"):
-                accessor(level)
-    for groups in ([], [[5], [5]], [[4]], [[5], []]):
-        with pytest.raises(ValueError, match="partition the current top level"):
-            forest.add_level(groups)
-    assert forest.level_count == 3 and forest.node_count == 6
+    assert e5.level_count == 4 and e5.node_count == 11
+    assert [e5.level_nodes(k) for k in (1, 2, 3, 4)] == [
+        [0, 1, 2, 3, 4], [5, 6, 7], [8, 9], [10]
+    ]
+    assert [e5.level_of(nid) for nid in range(11)] == [1] * 5 + [2] * 3 + [3] * 2 + [4]
+    assert [e5.parent_of(nid) for nid in range(11)] == [
+        5, 5, 6, 7, 7, 8, 8, 9, 10, 10, None
+    ]
+    masks = [[e5.leafage_mask(nid) for nid in e5.level_nodes(k)] for k in (1, 2, 3, 4)]
+    assert masks == [
+        [0b00001, 0b00010, 0b00100, 0b01000, 0b10000],
+        [0b00011, 0b00100, 0b11000],
+        [0b00111, 0b11000],
+        [0b11111],
+    ]
+    assert e5.leafage(9) == StateSet([3, 4])
+    # With no defect-1 word the forest is the states under n singletons.
+    flat = build_gamma(Dfa(3, ("a",), ((1,), (2,), (0,)))).forest
+    assert [flat.level_nodes(k) for k in (1, 2)] == [[0, 1, 2], [3, 4, 5]]
+    assert [flat.level_of(nid) for nid in range(6)] == [1, 1, 1, 2, 2, 2]
+    assert [flat.parent_of(nid) for nid in range(6)] == [3, 4, 5, None, None, None]
+    assert [flat.leafage_mask(nid) for nid in range(6)] == [1, 2, 4, 1, 2, 4]
+    wide = build_gamma(random_dfa(8, 2, 1)).forest
+    for forest, size, levels in ((e5, 11, 4), (flat, 6, 2), (wide, 16, 2)):
+        assert forest.node_count == size and forest.level_count == levels
+        accessors = (
+            forest.parent_of, forest.level_of, forest.leafage_mask, forest.leafage
+        )
+        for accessor in accessors:
+            for nid in (size, size + 5, -1, -size):
+                message = f"no node {nid} in a forest of {size}"
+                with pytest.raises(IndexError, match=message):
+                    accessor(nid)
+        for level in (0, levels + 1, -1):
+            message = f"no level {level} in a forest of {levels}"
+            with pytest.raises(ValueError, match=message):
+                forest.level_nodes(level)
 
 
 def test_permutation_automaton_fails_immediately():

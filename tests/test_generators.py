@@ -19,8 +19,10 @@ def test_cerny_table():
     # exactly one non-permutation letter, defect 1
     assert excl_dupl(c4, (0,)).defect == 1
     assert excl_dupl(c4, (1,)).defect == 0
-    with pytest.raises(ValueError):
-        cerny(1)
+    # A float used to raise TypeError from range.
+    for n in (1, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="^cerny requires an integer n >= 2"):
+            cerny(n)
 
 
 def test_cerny_is_completely_reachable():
@@ -49,6 +51,9 @@ def test_e_family_validation():
         e_family(5, 5)
     with pytest.raises(ValueError):
         e_family(5, 2, drop_last_b=True)  # only defined for k = n-1
+    for n, k in ((5.0, 3), (5, 3.0), (5, True), (True, 0)):
+        with pytest.raises(ValueError, match="^e_family requires integers 2 <= k < n"):
+            e_family(n, k)
 
 
 def test_e_family_drop_last_b():
@@ -93,8 +98,11 @@ def test_random_dfa_reproducible_and_valid():
     for row in a.delta:
         assert all(0 <= t < 5 for t in row)
     assert a.n == 5 and a.m == 2
-    with pytest.raises(ValueError, match="n >= 1"):
-        random_dfa(0, 1, 0)
+    # Floats used to raise TypeError from numpy, and a True seed was read as 1.
+    bad = ((0, 1, 0), (4.0, 2, 1), (4, 2.0, 1), (4, 2, True), (4, 2, 1.0), (4, 2, "1"))
+    for n, m, seed in bad:
+        with pytest.raises(ValueError, match="^random_dfa requires integers n >= 1"):
+            random_dfa(n, m, seed)
 
 
 def test_random_dfa_frozen_sample():

@@ -209,6 +209,9 @@ def test_canonical_walk_digest(name, lists):
 # name -> (automaton, digest).  Deeper hierarchies than the corpus holds:
 # e_family(12, 11) succeeds and its drop_last_b twin fails at step 11,
 # e_family(10, 5) has five levels, and cerny(33) spans five 8-state chunks.
+# random_dfa(6, 2, 5) fails at step 4, and each of its levels 2-4 has two
+# edges that are both inherited and freshly forced, which the export shows
+# with their forcing word.
 HIERARCHIES = {
     "e_family(12, 11)": (
         lambda: e_family(12, 11),
@@ -229,6 +232,10 @@ HIERARCHIES = {
     "cerny(33)": (
         lambda: cerny(33),
         "15766848494dbe2bb117337e97c484b24107b245be46e7b32154b3b32714816d",
+    ),
+    "random_dfa(6, 2, 5)": (
+        lambda: random_dfa(6, 2, 5),
+        "daf61463ceefadc62d8a41e781e635aa1b936dd75ce21959673cb47cd45c6588",
     ),
 }
 
@@ -254,3 +261,4 @@ def _hierarchy_digest(dfa):
 def test_hierarchy_digest(name):
     make, digest = HIERARCHIES[name]
     assert _hierarchy_digest(make()) == digest
+

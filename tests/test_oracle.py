@@ -76,6 +76,13 @@ def test_guard_refuses_large_inputs():
     with pytest.raises(ValueError, match="7"):
         reset_threshold_exact(small, max_states=7)
     assert reset_threshold_exact(small, max_states=8) == 49
+    # A string limit used to raise TypeError, and True was read as 1.
+    for limit in ("22", True, False, 22.0, None):
+        for search in (powerset_reach_map, is_cr_bruteforce, reset_threshold_exact):
+            with pytest.raises(ValueError, match="^max_states must be an integer"):
+                search(small, limit)
+            with pytest.raises(ValueError, match="^max_states must be an integer"):
+                search(small, max_states=limit)
 
 
 def test_monoid_flipflop():
@@ -108,3 +115,8 @@ def test_monoid_words_reproduce_elements():
 def test_monoid_guard():
     with pytest.raises(ValueError, match="more than 10 elements"):
         transition_monoid(cerny(10), max_size=10)
+    # "9" used to raise TypeError, and True refused at the first new element.
+    for limit in ("9", True, False, 9.0, None):
+        with pytest.raises(ValueError, match="^max_size must be an integer"):
+            transition_monoid(cerny(4), max_size=limit)
+

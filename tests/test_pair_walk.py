@@ -99,6 +99,14 @@ def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
     assert multi
 
 
+def graph(n, edges):
+    """The graph on n vertices with the given (s, t) edges, as its rows."""
+    rows = [0] * n
+    for s, t in edges:
+        rows[s] |= 1 << t
+    return SimpleDigraph(n, rows)
+
+
 def reference_levels(dfa):
     """Outcome, terminal step and (vertices, forcing items, inherited) per level.
 
@@ -123,8 +131,8 @@ def reference_levels(dfa):
                     if dst != src and dm & inner:
                         forcing.setdefault((src, dst), w)
         levels.append((tuple(ids), list(forcing.items()), inherited))
-        graph = SimpleDigraph(len(ids), inherited | set(forcing))
-        part = strongly_connected_components(graph)
+        edges = inherited | set(forcing)
+        part = strongly_connected_components(graph(len(ids), edges))
         leafages = [
             sum(leafages[v] for v in cluster) for cluster in part.clusters
         ]
@@ -135,7 +143,7 @@ def reference_levels(dfa):
             return FAILURE, k, levels
         cid = part.cluster_id
         inherited = frozenset(
-            (cid[s], cid[t]) for s, t in graph.edges if cid[s] != cid[t]
+            (cid[s], cid[t]) for s, t in edges if cid[s] != cid[t]
         )
         k += 1
 

@@ -127,6 +127,17 @@ def test_reach_word_requires_success():
         reach_word(d, result, StateSet([0]))
 
 
+def test_reach_word_refuses_a_hierarchy_of_another_size():
+    # cerny(5)'s hierarchy used to fail on cerny(4) with the message meant
+    # for a level-selection bug.
+    for n, built in ((4, 5), (6, 5), (5, 4)):
+        with pytest.raises(
+            ValueError,
+            match=f"^the hierarchy was built for {built} states, the automaton has {n}$",
+        ):
+            reach_word(cerny(n), build_gamma(cerny(built)), StateSet([0, 1]))
+
+
 def test_reach_word_rejects_bad_subsets():
     e5 = fixed_example("e5")
     result = build_gamma(e5)
