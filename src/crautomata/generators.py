@@ -109,9 +109,9 @@ def random_dfa(n: int, m: int, seed: int) -> Dfa:
     also gives the stream splittable seeding if corpora ever need to be
     generated in parallel.
     """
-    if not (_is_int(n) and _is_int(m) and _is_int(seed) and n >= 1 and m >= 1):
+    if not (_is_int(n) and _is_int(m) and _is_int(seed)) or min(n, m) < 1 or seed < 0:
         raise ValueError(
-            "random_dfa requires integers n >= 1, m >= 1 and seed, "
+            "random_dfa requires integers n >= 1, m >= 1 and seed >= 0, "
             f"got n={n!r}, m={m!r}, seed={seed!r}"
         )
     # Imported here, not at module level: numpy is the package's only

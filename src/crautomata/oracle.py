@@ -1,17 +1,24 @@
 """Brute-force ground truth at desk scale.
 
-Everything here is deliberately exponential: powerset breadth-first search
-over subset images and transformation-monoid closure.  Soft size guards keep
-misuse loud; tie-breaks follow the shortlex order of the declared alphabet,
-so all outputs are deterministic golden values.  The powerset searches read
-all m images of a subset at once from ``automaton.packed_images``, one
-lookup per 8-state chunk.
+Everything here is deliberately exponential: powerset searches over subset
+images and transformation-monoid closure.  Soft size guards keep misuse
+loud.  The searches that return words or lengths (``powerset_reach_map``,
+``reset_threshold_exact``, ``transition_monoid``) are breadth-first, with
+tie-breaks in the shortlex order of the declared alphabet, so all their
+outputs are deterministic golden values.  ``is_cr_bruteforce`` needs only a
+yes or no, so it builds no words and expands image sets in order of
+non-increasing size instead.  Stopping it at the first size class with a
+subset missing is exact: an image is never larger than its set, so once
+every set of size s or more has been expanded, no later step can reach a
+new set of size s.  The powerset searches read all m images of a subset at
+once from ``automaton.packed_images``, one lookup per 8-state chunk.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 
 from .automaton import (
     Dfa,
@@ -81,8 +88,33 @@ def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachM
 
 
 def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """True iff every non-empty subset of Q occurs as the image of Q."""
-    return len(powerset_reach_map(dfa, max_states)) == (1 << dfa.n) - 1
+    """True iff every non-empty subset of Q occurs as the image of Q.
+
+    Expands sets by non-increasing size and answers False as soon as a size
+    class is left with fewer than C(n, s) sets, since no smaller set's image
+    can add to it.
+    """
+    _check_guard(dfa, max_states)
+    packed = packed_images(dfa)
+    n, m = dfa.n, dfa.m
+    full = (1 << n) - 1
+    seen = {full}
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    by_size[n].append(full)
+    for size in range(n, 0, -1):
+        # An image of the size being walked joins this list, so the loop
+        # reaches it before the count below is taken.
+        level = by_size[size]
+        for mask in level:
+            images = step_all(packed, mask)
+            for a in range(m):
+                image = images >> a * n & full
+                if image not in seen:
+                    seen.add(image)
+                    by_size[image.bit_count()].append(image)
+        if len(level) < comb(n, size):
+            return False
+    return True
 
 
 def reset_threshold_exact(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> int | None:

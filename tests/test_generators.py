@@ -98,8 +98,12 @@ def test_random_dfa_reproducible_and_valid():
     for row in a.delta:
         assert all(0 <= t < 5 for t in row)
     assert a.n == 5 and a.m == 2
-    # Floats used to raise TypeError from numpy, and a True seed was read as 1.
-    bad = ((0, 1, 0), (4.0, 2, 1), (4, 2.0, 1), (4, 2, True), (4, 2, 1.0), (4, 2, "1"))
+    # Floats used to raise TypeError from numpy, a True seed was read as 1,
+    # and a negative seed raised numpy's message, naming neither.
+    bad = (
+        (0, 1, 0), (4.0, 2, 1), (4, 2.0, 1), (4, 2, True), (4, 2, 1.0), (4, 2, "1"),
+        (3, 2, -1),
+    )
     for n, m, seed in bad:
         with pytest.raises(ValueError, match="^random_dfa requires integers n >= 1"):
             random_dfa(n, m, seed)

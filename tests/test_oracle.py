@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from crautomata import (
@@ -9,9 +11,11 @@ from crautomata import (
     fixed_example,
     is_cr_bruteforce,
     powerset_reach_map,
+    random_dfa,
     reset_threshold_exact,
     transition_monoid,
 )
+from crautomata import oracle
 
 IDENTITY2 = Dfa(2, ("a", "b"), ((0, 0), (1, 1)))
 
@@ -53,6 +57,62 @@ def test_is_cr_bruteforce():
     assert not is_cr_bruteforce(IDENTITY2)
 
 
+def _small_automata():
+    """Every automaton with n <= 3 and m <= 2, seeded random draws, and the
+    completely reachable families with their near misses, which random
+    draws of more than five states almost never are."""
+    for n in (1, 2, 3):
+        maps = list(itertools.product(range(n), repeat=n))
+        for m in (1, 2):
+            for columns in itertools.product(maps, repeat=m):
+                yield Dfa(n, ("a", "b")[:m], tuple(zip(*columns)))
+    for n in range(1, 11):
+        for m in (1, 2, 3):
+            for seed in range(12):
+                yield random_dfa(n, m, seed)
+    for n in range(2, 11):
+        yield cerny(n)
+    for n in range(3, 9):
+        for k in range(2, n):
+            yield e_family(n, k)
+        yield e_family(n, n - 1, drop_last_b=True)
+
+
+def test_is_cr_bruteforce_agrees_with_the_reach_map():
+    answers = set()
+    for d in _small_automata():
+        want = len(powerset_reach_map(d)) == 2**d.n - 1
+        assert is_cr_bruteforce(d) is want, d
+        answers.add((d.n, want))
+    # n = 1 is completely reachable; a one-letter permutation is not (n >= 2).
+    assert (1, False) not in answers
+    assert not is_cr_bruteforce(Dfa(3, ("a",), ((1,), (2,), (0,))))
+    # both answers occur at every larger size
+    for n in range(2, 11):
+        assert {(n, True), (n, False)} <= answers, n
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    step_all = oracle.step_all
+
+    def spy(packed, mask):
+        calls.append(mask)
+        return step_all(packed, mask)
+
+    monkeypatch.setattr(oracle, "step_all", spy)
+    return calls
+
+
+def test_is_cr_bruteforce_stops_at_the_first_incomplete_size(monkeypatch):
+    # No letter of this automaton has defect 1, so the (n-1)-sets stay
+    # unreached after expanding Q, and nothing smaller is expanded.
+    d = random_dfa(8, 2, 1)
+    calls = _count_steps(monkeypatch)
+    assert not is_cr_bruteforce(d)
+    assert calls == [d.states().mask]
+
+
 def test_reset_threshold_cerny():
     for n, expected in ((3, 4), (4, 9), (5, 16)):
         assert reset_threshold_exact(cerny(n)) == expected
@@ -65,24 +125,30 @@ def test_reset_threshold_edge_cases():
     assert reset_threshold_exact(one) == 0
 
 
-def test_guard_refuses_large_inputs():
+def test_guard_refuses_large_inputs(monkeypatch):
+    searches = (powerset_reach_map, is_cr_bruteforce, reset_threshold_exact)
+    steps = _count_steps(monkeypatch)
     big = cerny(23)
-    with pytest.raises(ValueError, match="22"):
-        powerset_reach_map(big)
-    with pytest.raises(ValueError):
-        reset_threshold_exact(big)
+    for search in searches:
+        with pytest.raises(ValueError, match="22"):
+            search(big)
     # the guard is a parameter, not a constant
     small = cerny(8)
-    with pytest.raises(ValueError, match="7"):
-        reset_threshold_exact(small, max_states=7)
-    assert reset_threshold_exact(small, max_states=8) == 49
+    for search in searches:
+        with pytest.raises(ValueError, match="exceeds the limit of 7"):
+            search(small, max_states=7)
     # A string limit used to raise TypeError, and True was read as 1.
     for limit in ("22", True, False, 22.0, None):
-        for search in (powerset_reach_map, is_cr_bruteforce, reset_threshold_exact):
+        for search in searches:
             with pytest.raises(ValueError, match="^max_states must be an integer"):
                 search(small, limit)
             with pytest.raises(ValueError, match="^max_states must be an integer"):
                 search(small, max_states=limit)
+    # every refusal comes before the first step
+    assert steps == []
+    assert reset_threshold_exact(small, max_states=8) == 49
+    assert is_cr_bruteforce(small, max_states=8)
+    assert steps
 
 
 def test_monoid_flipflop():
