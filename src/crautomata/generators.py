@@ -100,26 +100,105 @@ def _letter_names(m: int) -> tuple[str, ...]:
     return tuple(base[i] if i < len(base) else f"x{i}" for i in range(m))
 
 
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and
+# PCG64's default 128-bit multiplier, for the stream random_dfa draws from.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(8)``: eight 32-bit words."""
+    entropy = []  # the seed's 32-bit words, least significant first
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _uniform_draws(seed: int, n: int, count: int) -> list[int]:
+    """The ``count`` values of numpy's
+    ``Generator(PCG64(SeedSequence(seed))).integers(0, n, size=count)``.
+
+    Only the path numpy takes for 1 <= n <= 2**32 is here: Lemire's bounded
+    draw from 32-bit outputs.  random_dfa never needs another, since n > 2**32
+    would make a table of more than 2**32 entries, which no memory holds.
+    For n = 1 numpy draws nothing and gives zeros; every draw here is 0 then too.
+    """
+    w = _seed_words(seed)
+    # generate_state(4, uint64) pairs the words low half first; PCG64 takes
+    # the first two 64-bit words as the initial state and the last two as
+    # the stream, each 128-bit value high word first.
+    lanes = [w[i] | w[i + 1] << 32 for i in (0, 2, 4, 6)]
+    initstate = lanes[0] << 64 | lanes[1]
+    inc = ((lanes[2] << 64 | lanes[3]) << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    threshold = ((1 << 32) - n) % n
+    out: list[int] = []
+    while len(out) < count:
+        # XSL-RR 128/64 on the stepped state, handed out as two 32-bit
+        # halves, low half first; a half whose low product word falls
+        # below the threshold is rejected.
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        for half in (x & _MASK32, x >> 32):
+            product = half * n
+            if product & _MASK32 >= threshold:
+                out.append(product >> 32)
+    del out[count:]
+    return out
+
+
 def random_dfa(n: int, m: int, seed: int) -> Dfa:
     """A uniformly random automaton with reproducible, platform-stable output.
 
-    Transitions are drawn independently and uniformly from 0..n-1 using a
-    PCG64 stream keyed through numpy's SeedSequence, so identical
-    (n, m, seed) triples produce identical automata everywhere.  SeedSequence
-    also gives the stream splittable seeding if corpora ever need to be
-    generated in parallel.
+    Transitions are drawn independently and uniformly from 0..n-1, row by
+    row, as numpy's ``Generator(PCG64(SeedSequence(seed))).integers(0, n,
+    size=(n, m))`` draws them.  That stream is computed here in pure Python,
+    so identical (n, m, seed) triples produce identical automata everywhere,
+    with or without numpy installed.
     """
     if not (_is_int(n) and _is_int(m) and _is_int(seed)) or min(n, m) < 1 or seed < 0:
         raise ValueError(
             "random_dfa requires integers n >= 1, m >= 1 and seed >= 0, "
             f"got n={n!r}, m={m!r}, seed={seed!r}"
         )
-    # Imported here, not at module level: numpy is the package's only
-    # dependency and nothing else needs it, so ``import crautomata`` stays
-    # fast and small for every command that draws no random automaton.
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    table = rng.integers(0, n, size=(n, m))
-    delta = tuple(tuple(int(t) for t in row) for row in table)
+    draws = _uniform_draws(seed, n, n * m)
+    delta = tuple(tuple(draws[q * m:q * m + m]) for q in range(n))
     return Dfa(n, _letter_names(m), delta)

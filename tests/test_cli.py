@@ -454,11 +454,27 @@ def test_python_dash_m_entry_point():
     assert proc.stdout.startswith("usage: crautomata")
 
 
+# `crautomata --seed 3 generate random --n 8 --m 2`, pinned while random_dfa
+# still called numpy.
+GENERATE_RANDOM_8_2_SEED_3 = (
+    "states 8\nalphabet a b\n6 0\n1 1\n1 6\n6 4\n0 0\n2 3\n4 3\n2 1\n"
+)
+
+
 def test_import_leaves_numpy_unloaded():
-    # numpy is loaded only when random_dfa draws an automaton.
-    proc = _python("-c", "import sys, crautomata; print('numpy' in sys.modules)")
-    assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    # crautomata never loads numpy, not even to draw a random automaton.
+    script = "; ".join([
+        "import sys, crautomata",
+        "from crautomata.cli import run_cli",
+        "print('numpy' in sys.modules)",
+        "d = crautomata.random_dfa(9, 3, 1)",
+        "print('numpy' in sys.modules)",
+        "code = run_cli(['--seed', '3', 'generate', 'random', '--n', '8', '--m', '2'])",
+        "print(code, 'numpy' in sys.modules)",
+    ])
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFalse\n" + GENERATE_RANDOM_8_2_SEED_3 + "0 False\n"
 
 
 # Exact stdout of every command on e5: the text and JSON renderings are

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from crautomata import (
@@ -10,6 +12,7 @@ from crautomata import (
     fixed_example,
     random_dfa,
 )
+from crautomata.generators import _uniform_draws
 
 
 def test_cerny_table():
@@ -109,9 +112,64 @@ def test_random_dfa_reproducible_and_valid():
             random_dfa(n, m, seed)
 
 
+# Pinned output of random_dfa, recorded while it still called numpy; guards
+# drift across versions, platforms and rewrites of the generator.
+FROZEN_TABLES = {
+    (4, 2, 0): ((3, 2), (2, 1), (1, 0), (0, 0)),
+    (3, 1, 42): ((0,), (2,), (1,)),
+    (1, 3, 7): ((0, 0, 0),),
+    (9, 3, 2**64 + 5): (
+        (8, 6, 5), (3, 7, 6), (6, 3, 2), (8, 3, 7), (1, 3, 8),
+        (1, 2, 5), (4, 6, 8), (1, 7, 7), (3, 3, 3),
+    ),
+}
+# Seeds around the 32-bit word boundaries SeedSequence splits a seed at,
+# and seeds of more than four words, which it mixes in after the pool.
+EDGE_SEEDS = (
+    0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 + 1, 3**100,
+)
+
+
+def _corpus_triples(count):
+    for i in range(count):
+        seed = EDGE_SEEDS[i] if i < len(EDGE_SEEDS) else i ** (1 + i % 13)
+        yield 1 + i % 12, 1 + i // 12 % 4, seed
+
+
 def test_random_dfa_frozen_sample():
-    # pinned output of the documented generator; guards cross-version drift
-    d = random_dfa(4, 2, 0)
-    assert d == random_dfa(4, 2, 0)
-    e = random_dfa(3, 1, 42)
-    assert apply_word(e, e.states(), (0,))  # total table, applies cleanly
+    for (n, m, seed), delta in FROZEN_TABLES.items():
+        assert random_dfa(n, m, seed).delta == delta, (n, m, seed)
+    digest = hashlib.sha256()
+    for n, m, seed in _corpus_triples(2000):
+        d = random_dfa(n, m, seed)
+        digest.update(bytes([n, m, *(t for row in d.delta for t in row)]))
+    assert digest.hexdigest() == (
+        "3dad0169fb72e2ea7fa12d6cd0c6e32c4eccb6160bb96850f9e42ed81b294c89"
+    )
+
+
+def _numpy_draws(np, seed, n, size):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return rng.integers(0, n, size=size).tolist()
+
+
+def test_random_dfa_matches_numpy():
+    np = pytest.importorskip("numpy")
+    triples = list(_corpus_triples(2000))
+    for i in range(8000):
+        n, m = 1 + i % 40, 1 + i // 40 % 5
+        seed = i if i % 4 == 0 else (i * 0x9E3779B97F4A7C15) ** (i % 4)  # up to 231 bits
+        triples.append((n, m, seed))
+    for n, m, seed in triples:
+        expected = _numpy_draws(np, seed, n, (n, m))
+        assert [list(row) for row in random_dfa(n, m, seed).delta] == expected, (n, m, seed)
+
+
+def test_uniform_draws_reject_like_numpy_near_the_32_bit_limit():
+    # At these bounds Lemire's method rejects up to half of all 32-bit
+    # outputs, so a draw that mishandles rejection drifts from the stream;
+    # 2**32 itself takes numpy's separate unbounded 32-bit path.
+    np = pytest.importorskip("numpy")
+    for n in (2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 10**9 + 7):
+        for seed in (0, 5, 2**64 + 3, 3**100):
+            assert _uniform_draws(seed, n, 256) == _numpy_draws(np, seed, n, 256), (n, seed)
