@@ -99,9 +99,6 @@ class StateSet:
     def __hash__(self) -> int:
         return hash(self.mask)
 
-    def issubset(self, other: "StateSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def isdisjoint(self, other: "StateSet") -> bool:
         return self.mask & other.mask == 0
 
@@ -174,9 +171,6 @@ class Dfa:
     def m(self) -> int:
         return len(self.alphabet)
 
-    def states(self) -> StateSet:
-        return StateSet.full(self.n)
-
     def check_word(self, w: Sequence[int]) -> Word:
         w = tuple(w)
         m = self.m
@@ -193,8 +187,9 @@ class ExclDuplPair:
     """The (excl, dupl) signature of a word.
 
     ``excl`` holds the states with no preimage under the word, ``dupl`` the
-    states with at least two.  The two sets are disjoint, and one is empty
-    exactly when the other is (permutation words).
+    states with at least two, and the word's defect is ``len(excl)``.  The
+    two sets are disjoint, and one is empty exactly when the other is
+    (permutation words).
     """
 
     excl: StateSet
@@ -205,10 +200,6 @@ class ExclDuplPair:
             raise ValueError("excl and dupl must be disjoint")
         if bool(self.excl) != bool(self.dupl):
             raise ValueError("excl is empty exactly when dupl is empty")
-
-    @property
-    def defect(self) -> int:
-        return len(self.excl)
 
 
 def _chunk_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -13,7 +13,7 @@ import re
 from typing import Any, Iterable, Sequence
 
 from .automaton import Dfa, Word
-from .gamma import GammaResult
+from .gamma import GammaResult, _check_built_for
 
 
 def format_word(word: Word, alphabet: Sequence[str]) -> str:
@@ -159,6 +159,7 @@ def gamma_to_doc(result: GammaResult, dfa: Dfa) -> dict[str, Any]:
     forcing word (preferred when an edge is both forced and inherited) or an
     ``inherited`` marker.  Forest nodes are listed by id with parent links.
     """
+    _check_built_for(result, dfa)
     forest = result.forest
     levels = []
     for level in result.levels:

@@ -115,10 +115,6 @@ class ForcingWords(Mapping[tuple[int, int], Word]):
     def __getitem__(self, edge: tuple[int, int]) -> Word:
         return self._decode(self._codes[edge])
 
-    def get(self, edge: tuple[int, int], default: Word | None = None) -> Word | None:
-        code = self._codes.get(edge)
-        return default if code is None else self._decode(code)
-
     def __len__(self) -> int:
         return len(self._codes)
 
@@ -155,10 +151,17 @@ class GammaLevel:
 
 @dataclass(frozen=True)
 class GammaResult:
+    """The hierarchy that ``build_gamma`` built for ``dfa``.
+
+    Its readers (``unreachable_witness``, ``reach_word`` and
+    ``formats.gamma_to_doc``) refuse any automaton but ``dfa`` or an equal copy.
+    """
+
     outcome: str
     terminal_step: int
     levels: tuple[GammaLevel, ...]
     forest: ClusterForest
+    dfa: Dfa
 
     @property
     def success(self) -> bool:
@@ -226,9 +229,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         part = strongly_connected_components(graph)
         forest._push_level(part.cluster_id, len(part.clusters))
         if len(part.clusters) == 1:
-            return GammaResult(SUCCESS, k, tuple(levels), forest)
+            return GammaResult(SUCCESS, k, tuple(levels), forest, dfa)
         if max(map(int.bit_count, leafages[stop:])) <= k:
-            return GammaResult(FAILURE, k, tuple(levels), forest)
+            return GammaResult(FAILURE, k, tuple(levels), forest, dfa)
         cid = part.cluster_id
         cluster_bit = [1 << c for c in cid]
         rows = [0] * len(part.clusters)
@@ -258,10 +261,17 @@ def _image(mask: int, bits: list[int]) -> int:
 
 
 def _check_built_for(result: GammaResult, dfa: Dfa) -> None:
-    """Refuse a hierarchy whose level 1 does not have one vertex per state."""
-    if (built := result.levels[0].graph.vertex_count) != dfa.n:
+    """Refuse a hierarchy built for an automaton unequal to ``dfa``."""
+    built = result.dfa
+    if built is dfa:
+        return
+    if built.n != dfa.n:
         raise ValueError(
-            f"the hierarchy was built for {built} states, the automaton has {dfa.n}"
+            f"the hierarchy was built for {built.n} states, the automaton has {dfa.n}"
+        )
+    if built != dfa:
+        raise ValueError(
+            "the hierarchy was built for another automaton of the same size"
         )
 
 

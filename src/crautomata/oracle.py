@@ -141,21 +141,16 @@ def reset_threshold_exact(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> int
     return None
 
 
-def transition_monoid(
-    dfa: Dfa,
-    positive_defect_only: bool = False,
-    max_size: int = DEFAULT_MAX_MONOID,
-) -> Monoid:
+def transition_monoid(dfa: Dfa) -> Monoid:
     """Closure of the letter transformations under composition.
 
-    The closure always starts from the identity (the empty word).  With
-    ``positive_defect_only`` the result is filtered to transformations of
-    defect at least 1 after the closure; since defect can only grow under
-    composition, this equals the set of transformations of positive-defect
-    words.
+    The closure always starts from the identity (the empty word), so the
+    result holds every transformation of a word; its singular elements,
+    those of defect at least 1, are the transformations of words of positive
+    defect.  The closure is refused once it would pass
+    ``DEFAULT_MAX_MONOID`` elements, read at each call.
     """
-    if not _is_int(max_size):
-        raise ValueError(f"max_size must be an integer, got {max_size!r}")
+    limit = DEFAULT_MAX_MONOID
     delta = dfa.delta
     identity: Transformation = tuple(range(dfa.n))
     elements: dict[Transformation, Word] = {identity: ()}
@@ -166,14 +161,10 @@ def transition_monoid(
         for a in range(dfa.m):
             t2 = tuple(delta[q][a] for q in t)
             if t2 not in elements:
-                if len(elements) >= max_size:
+                if len(elements) >= limit:
                     raise ValueError(
-                        f"monoid closure refused: more than {max_size} elements"
+                        f"monoid closure refused: more than {limit} elements"
                     )
                 elements[t2] = w + (a,)
                 queue.append(t2)
-    if positive_defect_only:
-        elements = {
-            t: w for t, w in elements.items() if len(set(t)) < dfa.n
-        }
     return Monoid(elements)

@@ -53,7 +53,7 @@ from .automaton import (  # noqa: F401
     step_all,
     transformation_of,
 )
-from .oracle import DEFAULT_MAX_STATES, reset_threshold_exact
+from .oracle import reset_threshold_exact
 
 
 def _check_state_count(n: int) -> None:
@@ -349,15 +349,14 @@ class TwoLetterReport:
         return self.reset_threshold <= self.cerny_bound
 
 
-def check_two_letter_properties(
-    dfa: Dfa, max_states: int = DEFAULT_MAX_STATES
-) -> TwoLetterReport:
+def check_two_letter_properties(dfa: Dfa) -> TwoLetterReport:
     """Permutation-letter structure and the exact reset threshold.
 
     For completely reachable two-letter automata with n >= 2, a permutation
     letter is necessarily a single n-cycle, and the exact reset threshold
-    stays within (n-1)^2.  The threshold is computed by the powerset oracle
-    and is None when no reset word exists.
+    stays within (n-1)^2.  The threshold is computed by the powerset oracle,
+    so automata over ``oracle.DEFAULT_MAX_STATES`` states are refused, and
+    is None when no reset word exists.
     """
     if dfa.m != 2:
         raise ValueError(f"expected a two-letter automaton, got {dfa.m} letters")
@@ -373,7 +372,7 @@ def check_two_letter_properties(
             q = t[q]
             orbit += 1
         cycles.append(orbit == dfa.n)
-    threshold = reset_threshold_exact(dfa, max_states)
+    threshold = reset_threshold_exact(dfa)
     return TwoLetterReport(
         dfa.n,
         tuple(perm_letters),

@@ -31,6 +31,7 @@ from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
     Word,
+    _is_int,
     excl_dupl,
     iter_bits,
     preimage_masks,
@@ -78,6 +79,8 @@ def expand_step(dfa: Dfa, p: StateSet, w: Word, dup_state: int) -> StateSet:
     in p) are enforced because their failure signals a bug in level
     selection.
     """
+    if not _is_int(dup_state):
+        raise ValueError(f"state index {dup_state!r} is not an integer")
     if p.mask >> dfa.n:
         raise ValueError("target set contains states outside the automaton")
     allowed = 1 << dup_state if dup_state in p else 0

@@ -26,10 +26,10 @@ def shortlex_signatures(dfa, cap):
     queue = deque([((), root)])
     while queue:
         w, pair = queue.popleft()
-        by_defect[pair.defect].append((w, pair.excl.mask, pair.dupl.mask))
+        by_defect[len(pair.excl)].append((w, pair.excl.mask, pair.dupl.mask))
         for a in range(dfa.m):
             child = extend_excl_dupl(pair, dfa, a, table)
-            if child.defect <= cap and child not in seen:
+            if len(child.excl) <= cap and child not in seen:
                 seen.add(child)
                 queue.append((w + (a,), child))
     return by_defect

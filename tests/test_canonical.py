@@ -35,7 +35,7 @@ def decoded(cws, k):
 def assert_holds_its_word(dfa, w, pair):
     """A kept pair has its word's excl set and holds only duplicated states."""
     whole = excl_dupl(dfa, w)
-    assert pair.excl == whole.excl and pair.dupl.issubset(whole.dupl), (dfa, w)
+    assert pair.excl == whole.excl and set(pair.dupl) <= set(whole.dupl), (dfa, w)
 
 
 def pairs_of(em, dm):
@@ -96,7 +96,7 @@ def test_entries_shortlex_sorted_and_unique():
     # each per-defect list is the shortlex-ordered slice of the entries
     for k in range(4):
         listed = [w for w, _, _ in decoded(cws, k)]
-        assert listed == [w for w, p in cws.entries if p.defect == k]
+        assert listed == [w for w, p in cws.entries if len(p.excl) == k]
 
 
 def test_prefix_closure():
@@ -315,7 +315,7 @@ def _late_finds(dfa, cws):
                 w = least.get(key)
                 if w is None or w == u + (a,):
                     continue
-                if excl_dupl(dfa, w[:-1]).defect > pair.defect:
+                if len(excl_dupl(dfa, w[:-1]).excl) > len(pair.excl):
                     earliest[key] = min(earliest.get(key, len(u) + 1), len(u) + 1)
     return {
         "replace": sum(1 for key, m in earliest.items() if m == len(least[key])),

@@ -15,10 +15,12 @@ from crautomata import (
     decide_complete_reachability,
     e_family,
     fixed_example,
+    gamma_to_doc,
     is_cr_bruteforce,
     is_strongly_connected,
     powerset_reach_map,
     random_dfa,
+    reach_word,
     strongly_connected_components,
     unreachable_witness,
 )
@@ -174,6 +176,53 @@ def test_witness_refuses_a_hierarchy_of_another_size():
     assert unreachable_witness(twin, e_family(5, 4, drop_last_b=True)) == StateSet([4])
 
 
+FOREIGN = "^the hierarchy was built for another automaton of the same size$"
+
+
+def test_readers_refuse_a_hierarchy_of_another_automaton_of_the_same_size():
+    # The twin's hierarchy used to give the completely reachable cerny(5)
+    # the witness {4}, and a one-letter automaton made gamma_to_doc raise
+    # IndexError.
+    twin = build_gamma(e_family(5, 4, drop_last_b=True))
+    with pytest.raises(ValueError, match=FOREIGN):
+        unreachable_witness(twin, cerny(5))
+    with pytest.raises(ValueError, match=FOREIGN):
+        reach_word(e_family(5, 4), build_gamma(cerny(5)), StateSet([0]))
+    for other in (cerny(5), Dfa(5, ("a",), tuple((q,) for q in range(5)))):
+        with pytest.raises(ValueError, match=FOREIGN):
+            gamma_to_doc(twin, other)
+    size = "^the hierarchy was built for 5 states, the automaton has 4$"
+    with pytest.raises(ValueError, match=size):
+        gamma_to_doc(twin, cerny(4))
+    for seed in range(100):
+        a, b = random_dfa(6, 2, seed), random_dfa(6, 2, seed + 10000)
+        assert a != b
+        result = build_gamma(a)
+        if result.success:
+            with pytest.raises(ValueError, match=FOREIGN):
+                reach_word(b, result, StateSet([0]))
+        else:
+            with pytest.raises(ValueError, match=FOREIGN):
+                unreachable_witness(result, b)
+        with pytest.raises(ValueError, match=FOREIGN):
+            gamma_to_doc(result, b)
+
+
+def test_readers_accept_an_equal_copy_of_the_automaton():
+    for dfa in (e_family(5, 4, drop_last_b=True), cerny(5)):
+        copy = Dfa(dfa.n, list(dfa.alphabet), [list(row) for row in dfa.delta])
+        assert copy == dfa and copy is not dfa
+        result = build_gamma(dfa)
+        assert result.dfa is dfa
+        assert gamma_to_doc(result, copy) == gamma_to_doc(result, dfa)
+        if result.success:
+            assert reach_word(copy, result, StateSet([0])) == reach_word(
+                dfa, result, StateSet([0])
+            )
+        else:
+            assert unreachable_witness(result, copy) == StateSet([4])
+
+
 def test_gamma1_edgeless_failure():
     # No defect-1 word exists, so level 1 has no edge and fails at step 1:
     # both letters of the first automaton have defect 2, the second is a
@@ -317,9 +366,13 @@ def test_forcing_builds_a_word_only_when_read(decodes):
         assert all(edge in forcing for edge in edges)
         assert (0, 0) not in forcing and forcing.get((0, 0)) is None
         assert len(decodes) == read
+        first = forcing.get(edges[0])  # one decode for a present edge
+        assert len(decodes) == read + 1
+        read += 1
         items = list(forcing.items())  # one decode per item
         assert len(decodes) == read + len(items)
         assert [edge for edge, _ in items] == edges
+        assert first == items[0][1]
         assert forcing == dict(items)
         assert repr(forcing) == f"ForcingWords({dict(items)!r})"
         read = len(decodes)

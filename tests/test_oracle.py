@@ -24,9 +24,9 @@ def test_reach_map_e5_complete():
     e5 = fixed_example("e5")
     reach = powerset_reach_map(e5)
     assert len(reach) == 31
-    assert reach.word_for(e5.states()) == ()
+    assert reach.word_for(StateSet.full(5)) == ()
     for mask, word in reach.words.items():
-        assert apply_word(e5, e5.states(), word).mask == mask
+        assert apply_word(e5, StateSet.full(5), word).mask == mask
 
 
 def test_reach_map_missing_subset():
@@ -40,14 +40,14 @@ def test_reach_map_shortest_shortlex():
     # BFS must return shortest words, ties broken by letter order
     c4 = cerny(4)
     reach = powerset_reach_map(c4)
-    assert reach.word_for(c4.states()) == ()
+    assert reach.word_for(StateSet.full(4)) == ()
     assert reach.word_for(StateSet([1, 2, 3])) == (0,)
     lengths = {mask: len(w) for mask, w in reach.words.items()}
     # no word can be one letter shorter: re-BFS depth check on a few samples
     for mask, word in list(reach.words.items())[:10]:
         if not word:
             continue
-        prefix_mask = apply_word(c4, c4.states(), word[:-1]).mask
+        prefix_mask = apply_word(c4, StateSet.full(4), word[:-1]).mask
         assert lengths[prefix_mask] == len(word) - 1
 
 
@@ -110,7 +110,7 @@ def test_is_cr_bruteforce_stops_at_the_first_incomplete_size(monkeypatch):
     d = random_dfa(8, 2, 1)
     calls = _count_steps(monkeypatch)
     assert not is_cr_bruteforce(d)
-    assert calls == [d.states().mask]
+    assert calls == [StateSet.full(d.n).mask]
 
 
 def test_reset_threshold_cerny():
@@ -155,9 +155,9 @@ def test_monoid_flipflop():
     ff = fixed_example("flipflop")
     mon = transition_monoid(ff)
     assert len(mon) == 3  # identity plus the two constant maps
-    sing = transition_monoid(ff, positive_defect_only=True)
-    assert len(sing) == 2
-    assert set(sing.elements) == {(0, 0), (1, 1)}
+    singular = [t for t in mon.elements if len(set(t)) < ff.n]
+    assert len(singular) == 2
+    assert set(singular) == {(0, 0), (1, 1)}
 
 
 def test_monoid_identity_only():
@@ -165,7 +165,7 @@ def test_monoid_identity_only():
     mon = transition_monoid(one_letter)
     assert set(mon.elements) == {(0, 1, 2)}
     assert mon.elements[(0, 1, 2)] == ()
-    assert len(transition_monoid(one_letter, positive_defect_only=True)) == 0
+    assert [t for t in mon.elements if len(set(t)) < one_letter.n] == []
 
 
 def test_monoid_words_reproduce_elements():
@@ -178,11 +178,14 @@ def test_monoid_words_reproduce_elements():
         assert transformation_of(e5, word) == t
 
 
-def test_monoid_guard():
-    with pytest.raises(ValueError, match="more than 10 elements"):
-        transition_monoid(cerny(10), max_size=10)
-    # "9" used to raise TypeError, and True refused at the first new element.
-    for limit in ("9", True, False, 9.0, None):
-        with pytest.raises(ValueError, match="^max_size must be an integer"):
-            transition_monoid(cerny(4), max_size=limit)
-
+def test_monoid_guard(monkeypatch):
+    # The limit is read at each call, and a closure of exactly the limit
+    # is kept.
+    flipflop = fixed_example("flipflop")
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_MONOID", 3)
+    assert len(transition_monoid(flipflop)) == 3
+    refused = "^monoid closure refused: more than {} elements$"
+    for limit, dfa in ((10, cerny(10)), (2, flipflop)):
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_MONOID", limit)
+        with pytest.raises(ValueError, match=refused.format(limit)):
+            transition_monoid(dfa)

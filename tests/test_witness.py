@@ -54,6 +54,16 @@ def test_expand_step_rejects_states_outside():
         expand_step(e5, StateSet([0, 7]), (1,), 0)
 
 
+def test_expand_step_refuses_a_non_integer_duplicate_state():
+    # a[1] duplicates state 1.  1.0 used to raise TypeError from the shift,
+    # and True was read as state 1.
+    e5 = fixed_example("e5")
+    assert expand_step(e5, StateSet([1]), (0,), 1) == StateSet([0, 1])
+    for dup in (1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"^state index {dup!r} is not an integer$"):
+            expand_step(e5, StateSet([1]), (0,), dup)
+
+
 def test_expand_step_size_exhaustive():
     # |R| = |P| + (multiplicity of the duplicate) - 1, and R maps back onto P
     for seed in (5, 23):
