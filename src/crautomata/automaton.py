@@ -68,6 +68,8 @@ class StateSet:
 
     @classmethod
     def full(cls, n: int) -> "StateSet":
+        if not _is_int(n):
+            raise ValueError(f"state count must be an integer, got {n!r}")
         return cls.from_mask((1 << n) - 1)
 
     def __setattr__(self, name, value):

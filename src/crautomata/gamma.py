@@ -29,7 +29,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .automaton import Dfa, StateSet, Word, iter_bits
+from .automaton import Dfa, StateSet, Word, _is_int, iter_bits
 from .canonical import CanonicalWordSet
 from .digraph import SimpleDigraph, strongly_connected_components
 
@@ -62,11 +62,15 @@ class ClusterForest:
         return len(self._parent)
 
     def level_nodes(self, level: int) -> list[int]:
+        if not _is_int(level):
+            raise ValueError(f"level {level!r} is not an integer")
         if not 1 <= level <= self.level_count:
             raise ValueError(f"no level {level} in a forest of {self.level_count}")
         return list(range(self._starts[level - 1], self._starts[level]))
 
     def _id(self, node: int) -> int:
+        if not _is_int(node):
+            raise ValueError(f"node index {node!r} is not an integer")
         if not 0 <= node < len(self._parent):
             raise IndexError(f"no node {node} in a forest of {self.node_count}")
         return node

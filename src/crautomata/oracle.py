@@ -12,6 +12,13 @@ subset missing is exact: an image is never larger than its set, so once
 every set of size s or more has been expanded, no later step can reach a
 new set of size s.  The powerset searches read all m images of a subset at
 once from ``automaton.packed_images``, one lookup per 8-state chunk.
+
+Q is the exception in ``is_cr_bruteforce``: it is the one set that search
+always expands, and on most automata it rejects it is the only one, since
+without a letter of defect 1 no (n-1)-set is reached.  So Q's images are
+read straight from the letter columns of ``delta``, n·m bit-ORs, and the
+chunk table is filled only when a second set is expanded.  The other
+searches almost never stop at Q and use the table from the start.
 """
 
 from __future__ import annotations
@@ -57,19 +64,21 @@ class Monoid:
         return len(self.elements)
 
 
-def _check_guard(dfa: Dfa, max_states: int) -> None:
+def _check_guard(dfa: Dfa, max_states: int, search: str) -> None:
+    """Refuse automata over ``max_states`` states, naming the search to call
+    with a larger limit, since a caller may reach it through another function."""
     if not _is_int(max_states):
         raise ValueError(f"max_states must be an integer, got {max_states!r}")
     if dfa.n > max_states:
         raise ValueError(
             f"powerset search refused: {dfa.n} states exceeds the limit of "
-            f"{max_states} (raise max_states to override)"
+            f"{max_states} (pass a larger max_states to {search} to override)"
         )
 
 
 def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachMap:
     """Breadth-first search over subset images starting from the full set."""
-    _check_guard(dfa, max_states)
+    _check_guard(dfa, max_states, "powerset_reach_map")
     packed = packed_images(dfa)
     n, m = dfa.n, dfa.m
     full = (1 << n) - 1
@@ -87,26 +96,47 @@ def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachM
     return ReachMap(words)
 
 
+def _images_of_full(dfa: Dfa) -> int:
+    """``step_all(packed_images(dfa), full)`` without the table.
+
+    Q·a is the set of values in column a of ``delta``, placed at bits a·n.
+    """
+    n = dfa.n
+    images = 0
+    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
+        image = 0
+        for q in column:
+            image |= 1 << q
+        images |= image << shift
+    return images
+
+
 def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """True iff every non-empty subset of Q occurs as the image of Q.
 
     Expands sets by non-increasing size and answers False as soon as a size
     class is left with fewer than C(n, s) sets, since no smaller set's image
-    can add to it.
+    can add to it.  Q is always expanded, and on most rejected automata it
+    is the only set expanded, so its images come from the letter columns
+    and ``packed_images`` is filled only when a second set is expanded.
     """
-    _check_guard(dfa, max_states)
-    packed = packed_images(dfa)
+    _check_guard(dfa, max_states, "is_cr_bruteforce")
     n, m = dfa.n, dfa.m
     full = (1 << n) - 1
     seen = {full}
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     by_size[n].append(full)
+    packed = None
     for size in range(n, 0, -1):
         # An image of the size being walked joins this list, so the loop
         # reaches it before the count below is taken.
         level = by_size[size]
         for mask in level:
-            images = step_all(packed, mask)
+            if mask == full:
+                images = _images_of_full(dfa)
+            else:
+                packed = packed or packed_images(dfa)
+                images = step_all(packed, mask)
             for a in range(m):
                 image = images >> a * n & full
                 if image not in seen:
@@ -119,7 +149,7 @@ def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
 
 def reset_threshold_exact(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> int | None:
     """Length of the shortest word collapsing Q to one state; None if none exists."""
-    _check_guard(dfa, max_states)
+    _check_guard(dfa, max_states, "reset_threshold_exact")
     n, m = dfa.n, dfa.m
     full = (1 << n) - 1
     if n == 1:

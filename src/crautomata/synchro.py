@@ -355,8 +355,9 @@ def check_two_letter_properties(dfa: Dfa) -> TwoLetterReport:
     For completely reachable two-letter automata with n >= 2, a permutation
     letter is necessarily a single n-cycle, and the exact reset threshold
     stays within (n-1)^2.  The threshold is computed by the powerset oracle,
-    so automata over ``oracle.DEFAULT_MAX_STATES`` states are refused, and
-    is None when no reset word exists.
+    so automata over ``oracle.DEFAULT_MAX_STATES`` states are refused (the
+    refusal names ``reset_threshold_exact``, whose ``max_states`` can be
+    raised), and is None when no reset word exists.
     """
     if dfa.m != 2:
         raise ValueError(f"expected a two-letter automaton, got {dfa.m} letters")

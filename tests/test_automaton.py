@@ -75,6 +75,15 @@ def test_state_set_immutable_and_validated():
         StateSet.from_mask(-1)
 
 
+def test_state_set_full_refuses_a_non_integer_count():
+    # True used to give StateSet({0}) and 2.0 raised TypeError from the shift.
+    for n in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^state count must be an integer, got {n!r}$"):
+            StateSet.full(n)
+    assert StateSet.full(0) == StateSet()
+    assert StateSet.full(3) == StateSet([0, 1, 2])
+
+
 def test_dfa_validation():
     with pytest.raises(ValueError):
         Dfa(0, ("a",), ())

@@ -318,6 +318,19 @@ def test_forest_levels_and_their_guards():
                 forest.level_nodes(level)
 
 
+def test_forest_refuses_non_integer_nodes_and_levels():
+    # 1.5 used to be read as node 1, True as node 1, and 1.0 or 2.0 raised
+    # TypeError from list indexing.
+    forest = build_gamma(fixed_example("e5")).forest
+    accessors = (forest.parent_of, forest.level_of, forest.leafage_mask, forest.leafage)
+    for bad in (1.5, 1.0, 2.0, True, False, "1", None):
+        for accessor in accessors:
+            with pytest.raises(ValueError, match=f"^node index {bad!r} is not an integer$"):
+                accessor(bad)
+        with pytest.raises(ValueError, match=f"^level {bad!r} is not an integer$"):
+            forest.level_nodes(bad)
+
+
 def test_permutation_automaton_fails_immediately():
     rot = Dfa(3, ("a",), ((1,), (2,), (0,)))
     ok, result = decide_complete_reachability(rot)

@@ -16,6 +16,7 @@ from crautomata import (
     transition_monoid,
 )
 from crautomata import oracle
+from crautomata.automaton import packed_images, step_all
 
 IDENTITY2 = Dfa(2, ("a", "b"), ((0, 0), (1, 1)))
 
@@ -106,11 +107,35 @@ def _count_steps(monkeypatch):
 
 def test_is_cr_bruteforce_stops_at_the_first_incomplete_size(monkeypatch):
     # No letter of this automaton has defect 1, so the (n-1)-sets stay
-    # unreached after expanding Q, and nothing smaller is expanded.
+    # unreached after expanding Q, and nothing smaller is expanded.  Q's
+    # images come from the letter columns, so no set steps through a table
+    # and no table is filled.
     d = random_dfa(8, 2, 1)
     calls = _count_steps(monkeypatch)
+    packed_images.cache_clear()
     assert not is_cr_bruteforce(d)
-    assert calls == [StateSet.full(d.n).mask]
+    assert calls == []
+    assert packed_images.cache_info().currsize == 0
+
+
+def test_is_cr_bruteforce_fills_the_table_once_past_q():
+    # A letter of defect 1 reaches an (n-1)-set, so a second set is
+    # expanded and the table is filled, once.
+    c5 = cerny(5)
+    packed_images.cache_clear()
+    assert is_cr_bruteforce(c5)
+    info = packed_images.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+
+def test_images_of_full_match_the_table():
+    cases = [
+        random_dfa(n, m, s) for n in (1, 2, 7, 8, 9, 17) for m in (1, 2, 3) for s in range(5)
+    ]
+    cases += [cerny(5), e_family(6, 3), IDENTITY2]
+    for d in cases:
+        full = StateSet.full(d.n).mask
+        assert oracle._images_of_full(d) == step_all(packed_images(d), full)
 
 
 def test_reset_threshold_cerny():
@@ -130,7 +155,12 @@ def test_guard_refuses_large_inputs(monkeypatch):
     steps = _count_steps(monkeypatch)
     big = cerny(23)
     for search in searches:
-        with pytest.raises(ValueError, match="22"):
+        # The refusal names the search, whose max_states the caller can raise.
+        message = (
+            r"^powerset search refused: 23 states exceeds the limit of 22 "
+            rf"\(pass a larger max_states to {search.__name__} to override\)$"
+        )
+        with pytest.raises(ValueError, match=message):
             search(big)
     # the guard is a parameter, not a constant
     small = cerny(8)

@@ -209,3 +209,14 @@ def test_two_letter_without_reset_word():
 def test_two_letter_requires_two_letters():
     with pytest.raises(ValueError):
         check_two_letter_properties(fixed_example("e5"))
+
+
+def test_two_letter_refusal_names_the_search_that_takes_max_states():
+    # check_two_letter_properties has no max_states of its own, so the
+    # refusal points at reset_threshold_exact, which has one.
+    message = (
+        r"^powerset search refused: 23 states exceeds the limit of 22 "
+        r"\(pass a larger max_states to reset_threshold_exact to override\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        check_two_letter_properties(cerny(23))
