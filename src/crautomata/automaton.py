@@ -70,6 +70,8 @@ class StateSet:
     def full(cls, n: int) -> "StateSet":
         if not _is_int(n):
             raise ValueError(f"state count must be an integer, got {n!r}")
+        if n < 0:
+            raise ValueError(f"state count must be non-negative, got {n}")
         return cls.from_mask((1 << n) - 1)
 
     def __setattr__(self, name, value):

@@ -39,7 +39,8 @@ can find a smaller code for one of its pairs; the popped entry then keeps
 only the pairs whose best code it still holds, and is skipped when it
 holds none.  So an entry kept holds the least word of every pair it holds.
 Each word waits at most once, so the codes in a heap are distinct and the
-heap never compares keys.
+heap never compares keys.  No image is empty, so no word has defect n, and
+no cap walks past n.
 
 Kept words are stored as (code, excl mask, held mask) in one list per
 defect, filled by the one walk of that defect, already in shortlex order.
@@ -64,11 +65,10 @@ half, holds letter a's child key ``excl << n | held`` in its field.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable
 from heapq import heappop, heappush
 
-from .automaton import Dfa, ExclDuplPair, StateSet, Word
+from .automaton import Dfa, ExclDuplPair, StateSet, Word, _is_int
 
 # (code, excl mask, held mask)
 _Entry = tuple[int, int, int]
@@ -101,6 +101,13 @@ def word_decoder(m: int) -> Callable[[int], Word]:
         return word
 
     return decode
+
+
+def _check_defect(k: int) -> None:
+    if not _is_int(k):
+        raise ValueError(f"defect {k!r} is not an integer")
+    if k < 0:
+        raise ValueError("defect must be non-negative")
 
 
 class CanonicalWordSet:
@@ -136,8 +143,8 @@ class CanonicalWordSet:
         self._by_defect: list[list[_Entry]] = []
         # _waiting[k] is the heap of (code, excl << n | held) of the words
         # of defect k; an entry holds a pair only while _best has its code.
-        self._waiting: dict[int, list[tuple[int, int]]]
-        self._waiting = defaultdict(list, {0: [(0, 0)]})
+        self._waiting: list[list[tuple[int, int]]]
+        self._waiting = [[(0, 0)]] + [[] for _ in range(n)]
         self._walk_next_defect()
 
     @property
@@ -166,8 +173,12 @@ class CanonicalWordSet:
         return sum(len(entries) for entries in self._by_defect)
 
     def grow(self, defect_cap: int) -> None:
-        """Raise the defect cap, walking the waiting words of each new defect."""
-        while len(self._by_defect) <= defect_cap:
+        """Raise the defect cap, walking the waiting words of each new defect.
+
+        The cap stops at n, since no word has defect n.
+        """
+        _check_defect(defect_cap)
+        while len(self._by_defect) <= min(defect_cap, self._n):
             self._walk_next_defect()
 
     def signatures_of_defect(self, k: int) -> list[_Entry]:
@@ -179,13 +190,12 @@ class CanonicalWordSet:
         excl set.  This is the stored list itself, in shortlex order; do not
         mutate it.  ``word(code)`` builds a triple's word.
         """
+        _check_defect(k)
         if k > self.defect_cap:
             raise ValueError(
                 f"canonical word set was built with defect cap {self.defect_cap}, "
                 f"cannot list defect {k}"
             )
-        if k < 0:
-            raise ValueError("defect must be non-negative")
         return self._by_defect[k]
 
     def _walk_next_defect(self) -> None:

@@ -28,6 +28,8 @@ def e_family(n: int, k: int, drop_last_b: bool = False) -> Dfa:
     """
     if not (_is_int(n) and _is_int(k) and 2 <= k < n):
         raise ValueError(f"e_family requires integers 2 <= k < n, got n={n!r}, k={k!r}")
+    if not isinstance(drop_last_b, bool):
+        raise ValueError(f"drop_last_b must be a bool, got {drop_last_b!r}")
     if drop_last_b and k != n - 1:
         raise ValueError("drop_last_b requires k = n - 1")
     ell = n - k + 1

@@ -31,7 +31,6 @@ from .automaton import (  # noqa: F401
     Dfa,
     StateSet,
     Word,
-    _is_int,
     excl_dupl,
     iter_bits,
     preimage_masks,
@@ -51,41 +50,24 @@ class ReachStep:
     target: StateSet
 
 
-def _expand(pre: list[int], p: int, allowed: int) -> int:
+def expand_step(pre: list[int], p: int, allowed: int) -> int:
     """The mask of R with R . w = p, where ``pre`` is w's preimage masks.
 
     The duplicate state is the smallest duplicate of w in ``p & allowed``.
     R is its full preimage together with the smallest-index preimage of
-    every other state of p.  Raises ValueError when w excludes part of p or
-    no duplicate state is allowed.
+    every other state of p, so |R| > |p|.  Raises ValueError when w
+    excludes part of p or no allowed state of p is a duplicate of w; either
+    signals a bug in level selection.
     """
     if any(not pre[r] for r in iter_bits(p)):
         raise ValueError("the word excludes part of the target set")
     dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
     if dup is None:
-        raise ValueError("dup_state must be a duplicate state inside the target set")
+        raise ValueError("no allowed duplicate state in the target set")
     mask = pre[dup]
     for r in iter_bits(p & ~(1 << dup)):
         mask |= pre[r] & -pre[r]
     return mask
-
-
-def expand_step(dfa: Dfa, p: StateSet, w: Word, dup_state: int) -> StateSet:
-    """The preimage set R with R . w = p and |R| > |p|.
-
-    R is the full w-preimage of ``dup_state`` together with the
-    smallest-index preimage of every other state of p.  Preconditions (the
-    word excludes nothing of p; ``dup_state`` is a duplicate state of w lying
-    in p) are enforced because their failure signals a bug in level
-    selection.
-    """
-    if not _is_int(dup_state):
-        raise ValueError(f"state index {dup_state!r} is not an integer")
-    if p.mask >> dfa.n:
-        raise ValueError("target set contains states outside the automaton")
-    allowed = 1 << dup_state if dup_state in p else 0
-    pre = preimage_masks(transformation_of(dfa, w))
-    return StateSet.from_mask(_expand(pre, p.mask, allowed))
 
 
 def reach_word(
@@ -126,7 +108,7 @@ def reach_word(
         pre = preimages.get(w)
         if pre is None:
             pre = preimages[w] = preimage_masks(transformation_of(dfa, w))
-        source = _expand(pre, current, level.leafage[edge[1]])
+        source = expand_step(pre, current, level.leafage[edge[1]])
         before, after = StateSet.from_mask(source), StateSet.from_mask(current)
         rounds.append(ReachStep(level.level, edge, w, before, after))
         current = source

@@ -80,6 +80,9 @@ def test_state_set_full_refuses_a_non_integer_count():
     for n in (True, False, 2.0, "2", None):
         with pytest.raises(ValueError, match=f"^state count must be an integer, got {n!r}$"):
             StateSet.full(n)
+    # -1 raised Python's "negative shift count".
+    with pytest.raises(ValueError, match="^state count must be non-negative, got -1$"):
+        StateSet.full(-1)
     assert StateSet.full(0) == StateSet()
     assert StateSet.full(3) == StateSet([0, 1, 2])
 

@@ -220,6 +220,37 @@ def test_signatures_of_defect_validation():
         cws.signatures_of_defect(3)
     with pytest.raises(ValueError):
         cws.signatures_of_defect(-1)
+    # True used to list defect 1, and 1.0 raised TypeError from indexing.
+    for k in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^defect {k!r} is not an integer$"):
+            cws.signatures_of_defect(k)
+
+
+def test_grow_refuses_a_non_integer_or_negative_cap():
+    # grow(True) and grow(1.5) used to walk to defect 1, grow("2") raised
+    # TypeError, and grow(-1) did nothing.
+    cws = CanonicalWordSet(fixed_example("e5"))
+    for cap in (True, 1.5, "2", None):
+        with pytest.raises(ValueError, match=f"^defect {cap!r} is not an integer$"):
+            cws.grow(cap)
+    with pytest.raises(ValueError, match="^defect must be non-negative$"):
+        cws.grow(-1)
+    assert cws.defect_cap == 0
+
+
+def test_grow_stops_at_defect_n():
+    # No image is empty, so no word has defect n: a larger cap walks no more.
+    d = cerny(5)
+    cws = CanonicalWordSet(d)
+    cws.grow(10**6)
+    assert cws.defect_cap == d.n
+    assert cws.signatures_of_defect(d.n) == []
+    assert len(cws) == 66
+    with pytest.raises(ValueError, match="cap 5, cannot list defect 6"):
+        cws.signatures_of_defect(d.n + 1)
+    one = CanonicalWordSet(Dfa(1, ("a",), ((0,),)))
+    one.grow(3)
+    assert one.defect_cap == 1 and one.signatures_of_defect(1) == []
 
 
 def test_xd_pairs_fixtures():

@@ -66,6 +66,10 @@ def test_e_family_drop_last_b():
     assert full.alphabet[-1] == "b4"
     for q in range(5):
         assert full.delta[q][:-1] == dropped.delta[q]
+    # Only truthiness was read, so "yes" and 1 built the twin.
+    for flag in ("yes", 1, 0, None):
+        with pytest.raises(ValueError, match=f"^drop_last_b must be a bool, got {flag!r}$"):
+            e_family(5, 4, drop_last_b=flag)
 
 
 def test_e_family_dupl_confined_for_a_words():

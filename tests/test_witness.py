@@ -16,21 +16,27 @@ from crautomata import (
     random_dfa,
     reach_word,
     transformation_of,
+    witness,
 )
+from crautomata.automaton import preimage_masks
 from crautomata.witness import expand_step
+
+
+def _pre(d, w):
+    return preimage_masks(transformation_of(d, w))
 
 
 def test_expand_step_fixture():
     e5 = fixed_example("e5")
     # a[2] maps {0,1} onto {1}; expanding {0} through it gives both preimages
-    r = expand_step(e5, StateSet([0]), (1,), 0)
-    assert r == StateSet([0, 1])
-    assert apply_word(e5, r, (1,)) == StateSet([0])
+    r = expand_step(_pre(e5, (1,)), 0b1, 0b1)
+    assert r == 0b11
+    assert apply_word(e5, StateSet.from_mask(r), (1,)) == StateSet([0])
 
 
 def test_expand_step_keeps_other_states():
     e5 = fixed_example("e5")
-    r = expand_step(e5, StateSet([0, 2]), (1,), 0)
+    r = StateSet.from_mask(expand_step(_pre(e5, (1,)), 0b101, 0b1))
     assert apply_word(e5, r, (1,)) == StateSet([0, 2])
     assert len(r) == 3
 
@@ -39,29 +45,16 @@ def test_expand_step_rejects_excluded_target():
     e5 = fixed_example("e5")
     # a[1] has excl {0}: no preimage for state 0
     with pytest.raises(ValueError, match="excludes"):
-        expand_step(e5, StateSet([0]), (0,), 0)
+        expand_step(_pre(e5, (0,)), 0b1, 0b1)
 
 
 def test_expand_step_rejects_non_duplicate():
     e5 = fixed_example("e5")
+    # a[2] duplicates only state 0, and 2 is the one allowed state
     with pytest.raises(ValueError, match="duplicate"):
-        expand_step(e5, StateSet([0]), (1,), 2)
-
-
-def test_expand_step_rejects_states_outside():
-    e5 = fixed_example("e5")
-    with pytest.raises(ValueError, match="outside"):
-        expand_step(e5, StateSet([0, 7]), (1,), 0)
-
-
-def test_expand_step_refuses_a_non_integer_duplicate_state():
-    # a[1] duplicates state 1.  1.0 used to raise TypeError from the shift,
-    # and True was read as state 1.
-    e5 = fixed_example("e5")
-    assert expand_step(e5, StateSet([1]), (0,), 1) == StateSet([0, 1])
-    for dup in (1.0, True, "1"):
-        with pytest.raises(ValueError, match=f"^state index {dup!r} is not an integer$"):
-            expand_step(e5, StateSet([1]), (0,), dup)
+        expand_step(_pre(e5, (1,)), 0b101, 0b100)
+    with pytest.raises(ValueError, match="duplicate"):
+        expand_step(_pre(e5, (1,)), 0b1, 0)
 
 
 def test_expand_step_size_exhaustive():
@@ -76,17 +69,34 @@ def test_expand_step_size_exhaustive():
                     x //= d.m
                 w = tuple(w)
                 t = transformation_of(d, w)
+                pre = preimage_masks(t)
                 pair = excl_dupl(d, w)
                 for dup in pair.dupl:
                     for pmask in range(1, 1 << d.n):
                         p = StateSet.from_mask(pmask)
                         if dup not in p or not p.isdisjoint(pair.excl):
                             continue
-                        r = expand_step(d, p, w, dup)
+                        r = StateSet.from_mask(expand_step(pre, pmask, 1 << dup))
                         mult = sum(1 for q in range(d.n) if t[q] == dup)
                         assert len(r) == len(p) + mult - 1
                         assert apply_word(d, r, w) == p
                         break  # one subset per duplicate keeps this quick
+
+
+def test_reach_word_calls_expand_step_once_per_round(monkeypatch):
+    e5 = fixed_example("e5")
+    result = build_gamma(e5)
+    calls = []
+
+    def spy(pre, p, allowed):
+        calls.append(p)
+        return expand_step(pre, p, allowed)
+
+    monkeypatch.setattr(witness, "expand_step", spy)
+    word, steps = reach_word(e5, result, StateSet([0, 2]))
+    assert len(steps) == len(calls) == 3
+    # Rounds run outermost last, so the calls see the targets in reverse.
+    assert calls == [step.target.mask for step in reversed(steps)]
 
 
 def test_reach_word_full_set_is_trivial():
