@@ -11,6 +11,16 @@ cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
 the forest's top level, which holds the terminal level's clusters.
 
+A level whose condensation has no edge between clusters may settle that
+FAILURE early.  A word w *extends* a state set S when every state of S has
+a w-preimage and some state of S has two.  A word forces an edge C -> D at
+some level exactly when it extends Q \\ leaf(C): its excl set lies inside
+leaf(C) and it duplicates a state outside C.  So when a search finds no
+extending word for the complement of any cluster's leafage, every later
+level is the same edgeless condensation, and the levels up to the step of
+the largest leafage are appended without walking their defects.  A search
+that stops at its cap certifies nothing, and the walk goes on.
+
 A level graph is stored only as rows, one out-neighbour mask per vertex:
 its forced edges ORed with its inherited row, the rows of a previous-level
 cluster's members mapped through the cluster ids.  Edge pairs are built
@@ -29,7 +39,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .automaton import Dfa, StateSet, Word, _is_int, iter_bits
+from .automaton import Dfa, StateSet, Word, _is_int, iter_bits, preimage_table
 from .canonical import CanonicalWordSet
 from .digraph import SimpleDigraph, strongly_connected_components
 
@@ -192,6 +202,14 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     condensation, up one level.  Levels with no fresh edges and no
     condensation progress are simply iterated past; the leafage test bounds
     the number of steps by n-1.
+
+    A level that ends in neither outcome and whose condensation has no edge
+    stops the walk once, for every new cluster C, no word extends
+    Q \\ leaf(C): a word forcing C -> D at any later level would extend it.
+    Each later level is then that edgeless condensation with an identity
+    forest level, so the levels up to the largest leafage L are appended as
+    they are, and FAILURE comes at step L with the same levels, forest and
+    witness that walking every defect to L gives.
     """
     n = dfa.n
     forest = ClusterForest(n)
@@ -201,6 +219,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     inherited_rows, inherited = [0] * n, frozenset()
     owner = list(range(n))
     vertex_bit: list[int] = []  # 1 << owner[q], read above level 1
+    full = (1 << n) - 1
     k = 1
     while True:
         cws.grow(k)
@@ -244,6 +263,12 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         inherited_rows = [
             _image(row, cluster_bit) & ~(1 << c) for c, row in enumerate(rows)
         ]
+        # An edge C -> D of the condensation came from a word that extends
+        # Q \ leaf(C), so only an edgeless condensation can be certified.
+        if not any(inherited_rows) and all(
+            _extension_search(dfa, full ^ mask) is False for mask in leafages[stop:]
+        ):
+            return _settle_edgeless(dfa, forest, levels, ForcingWords({}, cws.word))
         inherited = frozenset(
             (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
         )
@@ -252,6 +277,69 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")
+
+
+def _settle_edgeless(
+    dfa: Dfa, forest: ClusterForest, levels: list[GammaLevel], no_words: ForcingWords
+) -> GammaResult:
+    """FAILURE at the step of the largest leafage on the forest's top level.
+
+    Every level from the top one to there is what the loop would build when
+    no word can force an edge: the same vertices with no edge, each vertex a
+    cluster of its own, so the forest repeats the top level.
+    """
+    starts, leafages = forest._starts, forest._leafage
+    leaf = tuple(leafages[starts[-2]:])
+    count = len(leaf)
+    graph = SimpleDigraph(count, [0] * count)
+    last = max(map(int.bit_count, leaf))
+    for k in range(len(levels) + 1, last + 1):
+        vertices = tuple(range(starts[k - 1], starts[k]))
+        levels.append(GammaLevel(k, vertices, leaf, graph, no_words, frozenset()))
+        forest._push_level(range(count), count)
+    return GammaResult(FAILURE, last, tuple(levels), forest, dfa)
+
+
+# The most tuples _extension_search expands before it answers None.
+_SEARCH_CAP = 4096
+# A one-state preimage table's marks for a block with no state and with two
+# or more; ``min`` of a tuple sees an empty block first.
+_NONE, _MANY = -2, -1
+
+
+def _extension_search(dfa: Dfa, s: int) -> bool | None:
+    """Whether some word extends the non-empty state set ``s`` (a mask).
+
+    A word w extends S when every state of S has a w-preimage and some
+    state has two.  The search is breadth-first over the tuples
+    (q·w^-1 for q in S), prepending one letter at a time.  A tuple with an
+    empty block is dropped, since prepending keeps that block empty; one
+    with a two-state block answers True.  So only tuples of single states
+    are expanded, and a letter maps each of them through the one-state
+    preimages of ``preimage_table``.  False, found when every tuple is
+    expanded, is a proof; None means the search stopped at the cap.
+    """
+    single = [
+        tuple(
+            _NONE if not pre else _MANY if pre & (pre - 1) else pre.bit_length() - 1
+            for pre in column
+        )
+        for column in preimage_table(dfa)
+    ]
+    queue = [tuple(iter_bits(s))]
+    seen = set(queue)
+    for expanded, blocks in enumerate(queue):  # grows while it is read
+        if expanded >= _SEARCH_CAP:
+            return None
+        for column in single:
+            t = tuple(map(column.__getitem__, blocks))
+            low = min(t)
+            if low == _MANY:
+                return True
+            if low != _NONE and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return False
 
 
 def _image(mask: int, bits: list[int]) -> int:

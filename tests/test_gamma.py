@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from crautomata import (
     strongly_connected_components,
     unreachable_witness,
 )
+from crautomata import gamma as gamma_module
 
 
 def leafages_at(result, level):
@@ -454,3 +457,109 @@ def test_least_penetrating_level_forces_all_its_penetrating_edges():
                 # On SUCCESS every proper target has a penetrating edge.
                 assert not result.success
     assert checked > 3000
+
+
+def settle_corpus():
+    """Every shape the edgeless-level stop meets or must not meet: random
+    draws, every cycle + idempotent member with 4 <= n <= 14, the E family
+    and its twins with n <= 11, and the Cerny automata with n <= 19."""
+    rng = random.Random(27)
+    dfas = [
+        random_dfa(n, m, seed)
+        for n in range(2, 11)
+        for m in range(1, 4)
+        for seed in range(60)
+    ]
+    dfas += [cycle_idempotent(n, d, rng) for n in range(4, 15) for d in range(1, n)]
+    for n in range(3, 12):
+        dfas += [e_family(n, k) for k in range(2, n)]
+        dfas.append(e_family(n, n - 1, drop_last_b=True))
+    dfas += [cerny(n) for n in range(2, 20)]
+    return dfas
+
+
+def hierarchy_bytes(dfa):
+    result = build_gamma(dfa)
+    witness = None if result.success else unreachable_witness(result, dfa)
+    return gamma_to_doc(result, dfa), witness, result.terminal_step
+
+
+def test_edgeless_stop_keeps_the_hierarchy_byte_for_byte(monkeypatch):
+    # A level whose condensation has no edge ends the run once no word
+    # extends the complement of any cluster's leafage.  The same automata
+    # walked to the end, with every search answering "unknown", must give
+    # the same documents, witnesses and terminal steps.
+    dfas = settle_corpus()
+    settled = set()
+    settle = gamma_module._settle_edgeless
+    monkeypatch.setattr(
+        gamma_module,
+        "_settle_edgeless",
+        lambda dfa, *rest: settled.add(id(dfa)) or settle(dfa, *rest),
+    )
+    shortcut = [hierarchy_bytes(dfa) for dfa in dfas]
+    monkeypatch.setattr(gamma_module, "_extension_search", lambda dfa, s: None)
+    walked = [hierarchy_bytes(dfa) for dfa in dfas]
+    for dfa, short, full in zip(dfas, shortcut, walked):
+        assert json.dumps(short[0]) == json.dumps(full[0]), dfa
+        assert short[1:] == full[1:], dfa
+    # Not vacuous: random draws and deep cycle members take the stop, some
+    # of them several levels before their terminal step.
+    steps = [full[2] for dfa, full in zip(dfas, walked) if id(dfa) in settled]
+    assert len(steps) > 30 and max(steps) == 7
+
+
+def small_corpus():
+    rng = random.Random(28)
+    dfas = [
+        random_dfa(n, m, seed)
+        for n in range(2, 8)
+        for m in range(1, 4)
+        for seed in range(25)
+    ]
+    dfas += [cycle_idempotent(n, d, rng) for n in range(2, 8) for d in range(1, n)]
+    for n in range(3, 8):
+        dfas += [e_family(n, k) for k in range(2, n)]
+        dfas.append(e_family(n, n - 1, drop_last_b=True))
+    dfas += [cerny(n) for n in range(2, 8)]
+    return dfas
+
+
+def test_extension_search_is_sound_against_the_oracle():
+    # "none" is a proof that the set is unreachable: a reachable proper set
+    # Q·u is extended by u.  So no completely reachable automaton has a set
+    # without an extending word.
+    answers = {True: 0, False: 0, None: 0}
+    for dfa in small_corpus():
+        reach = powerset_reach_map(dfa)
+        cr = is_cr_bruteforce(dfa)
+        for s in range(1, (1 << dfa.n) - 1):
+            answer = gamma_module._extension_search(dfa, s)
+            answers[answer] += 1
+            if answer is False:
+                assert reach.word_for(StateSet.from_mask(s)) is None, (dfa, s)
+                assert not cr
+    assert answers[True] > 1000 and answers[False] > 1000
+
+
+def test_extension_search_at_its_cap_answers_unknown(monkeypatch):
+    monkeypatch.setattr(gamma_module, "_SEARCH_CAP", 0)
+    for dfa in small_corpus()[::7]:
+        for s in range(1, (1 << dfa.n) - 1):
+            assert gamma_module._extension_search(dfa, s) is None
+
+
+@pytest.mark.parametrize("n, d", [(30, 5), (48, 12), (96, 24)])
+def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
+    # b is the n-cycle q -> q + 1 and a sends 0 to d: gcd(n, d) = g level-1
+    # clusters of n/g states, the residue classes mod g, and no edge between
+    # them.  Walking defects 2 to n/g took 134 s and 3.56 GB at (30, 5).
+    dfa = Dfa(n, ("a", "b"), tuple((d if q == 0 else q, (q + 1) % n) for q in range(n)))
+    g = math.gcd(n, d)
+    result = build_gamma(dfa)
+    assert result.outcome == FAILURE and result.terminal_step == n // g
+    assert result.forest.level_count == n // g + 1
+    assert not any(row for level in result.levels[1:] for row in level.graph.rows)
+    witness = unreachable_witness(result, dfa)
+    assert witness == StateSet(q for q in range(n) if q % g)
+    assert gamma_module._extension_search(dfa, witness.mask) is False
