@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automaton import Dfa, StateSet, Word, _is_int, iter_bits, preimage_table
 from .canonical import CanonicalWordSet
@@ -169,6 +169,8 @@ class GammaResult:
 
     Its readers (``unreachable_witness``, ``reach_word`` and
     ``formats.gamma_to_doc``) refuse any automaton but ``dfa`` or an equal copy.
+    ``_preimages`` is ``reach_word``'s memo: the preimage masks of each
+    forcing word it has read, kept as long as the result.
     """
 
     outcome: str
@@ -176,6 +178,9 @@ class GammaResult:
     levels: tuple[GammaLevel, ...]
     forest: ClusterForest
     dfa: Dfa
+    _preimages: dict[Word, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def success(self) -> bool:

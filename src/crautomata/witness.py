@@ -18,12 +18,14 @@ edge is freshly forced.  An inherited C -> D comes from a level-(L-1) edge
 c -> d with d inside the target.  Either c meets the outside, or the
 strongly connected C has a path to c from a vertex that does, and an edge
 of that path penetrates; so level L-1 has a penetrating edge, against the
-choice of L.  Each distinct word's preimage masks are built once per call.
+choice of L.  Each distinct word's preimage masks are built once per
+hierarchy: the ``GammaResult`` keeps them for every later call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 # Nothing here calls excl_dupl, but bench/tracing.py counts its calls through
 # this module's name, so the name stays bound.
@@ -32,7 +34,6 @@ from .automaton import (  # noqa: F401
     StateSet,
     Word,
     excl_dupl,
-    iter_bits,
     preimage_masks,
     transformation_of,
 )
@@ -59,15 +60,22 @@ def expand_step(pre: list[int], p: int, allowed: int) -> int:
     excludes part of p or no allowed state of p is a duplicate of w; either
     signals a bug in level selection.
     """
-    if any(not pre[r] for r in iter_bits(p)):
-        raise ValueError("the word excludes part of the target set")
-    dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
-    if dup is None:
+    # One pass over p: the preimages of distinct states are disjoint, so
+    # ORing the duplicate's full preimage over the lowest preimages gives R.
+    lowest = dup_pre = 0
+    rest = p
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        m = pre[bit.bit_length() - 1]
+        if not m:
+            raise ValueError("the word excludes part of the target set")
+        if not dup_pre and bit & allowed and m & (m - 1):
+            dup_pre = m
+        lowest |= m & -m
+    if not dup_pre:
         raise ValueError("no allowed duplicate state in the target set")
-    mask = pre[dup]
-    for r in iter_bits(p & ~(1 << dup)):
-        mask |= pre[r] & -pre[r]
-    return mask
+    return lowest | dup_pre
 
 
 def reach_word(
@@ -76,7 +84,10 @@ def reach_word(
     """A word w with Q . w = p, plus the expansion trace that produced it.
 
     Steps are returned in application order: the first step starts from Q,
-    each target equals the next source, and the last target is p.
+    each target equals the next source, and the last target is p.  The
+    preimage masks of each forcing word read are kept in ``result``'s
+    private memo for the result's lifetime, one list of n masks per
+    distinct word, so later calls on the same hierarchy reuse them.
     """
     if result.outcome != SUCCESS:
         raise ValueError("reach words exist only when the hierarchy succeeded")
@@ -87,31 +98,30 @@ def reach_word(
         raise ValueError("target subset contains states outside the automaton")
 
     full = (1 << dfa.n) - 1
-    preimages: dict[Word, list[int]] = {}
+    preimages = result._preimages
+    levels = result.levels
     current = p.mask
     rounds: list[ReachStep] = []
     while current != full:
         out = ~current  # the states outside the target
-        found = next(
-            (
-                (level, e)
-                for level in result.levels
-                for e in level.forcing
-                if level.leafage[e[0]] & out and not level.leafage[e[1]] & out
-            ),
-            None,
-        )
-        if found is None:
+        for level in levels:
+            leafage = level.leafage
+            for edge in level.forcing:
+                if leafage[edge[0]] & out and not leafage[edge[1]] & out:
+                    break
+            else:
+                continue
+            break
+        else:
             raise RuntimeError("no penetrating edge found; hierarchy is inconsistent")
-        level, edge = found
         w = level.forcing[edge]
         pre = preimages.get(w)
         if pre is None:
             pre = preimages[w] = preimage_masks(transformation_of(dfa, w))
-        source = expand_step(pre, current, level.leafage[edge[1]])
+        source = expand_step(pre, current, leafage[edge[1]])
         before, after = StateSet.from_mask(source), StateSet.from_mask(current)
         rounds.append(ReachStep(level.level, edge, w, before, after))
         current = source
 
     steps = rounds[::-1]
-    return tuple(a for step in steps for a in step.word), steps
+    return tuple(chain.from_iterable(step.word for step in steps)), steps

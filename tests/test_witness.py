@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from crautomata import (
     transformation_of,
     witness,
 )
-from crautomata.automaton import preimage_masks
+from crautomata.automaton import iter_bits, preimage_masks
 from crautomata.witness import expand_step
 
 
@@ -81,6 +82,91 @@ def test_expand_step_size_exhaustive():
                         assert len(r) == len(p) + mult - 1
                         assert apply_word(d, r, w) == p
                         break  # one subset per duplicate keeps this quick
+
+
+def _expand_step_generators(pre, p, allowed):
+    """The generator-based ``expand_step`` that the bit loops replaced."""
+    if any(not pre[r] for r in iter_bits(p)):
+        raise ValueError("the word excludes part of the target set")
+    dup = next((r for r in iter_bits(p & allowed) if pre[r] & (pre[r] - 1)), None)
+    if dup is None:
+        raise ValueError("no allowed duplicate state in the target set")
+    mask = pre[dup]
+    for r in iter_bits(p & ~(1 << dup)):
+        mask |= pre[r] & -pre[r]
+    return mask
+
+
+def _outcome(step, pre, p, allowed):
+    try:
+        return step(pre, p, allowed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_expand_step_matches_generator_version():
+    # Every (p, allowed) pair over random transformations, plus a
+    # permutation and a constant map, which refuse for want of a duplicate
+    # and for an excluded state.
+    rng = random.Random(29)
+    seen = set()
+    for n in range(1, 9):
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(4 if n <= 6 else 1)]
+        maps += [tuple(rng.sample(range(n), n)), (rng.randrange(n),) * n]
+        for t in maps:
+            pre = preimage_masks(t)
+            for p in range(1 << n):
+                for allowed in range(1 << n):
+                    want = _outcome(_expand_step_generators, pre, p, allowed)
+                    assert _outcome(expand_step, pre, p, allowed) == want, (t, p, allowed)
+                    seen.add(want if isinstance(want, str) else "mask")
+    assert seen == {
+        "mask",
+        "the word excludes part of the target set",
+        "no allowed duplicate state in the target set",
+    }
+
+
+def _reach_trace(word, steps):
+    return word, [(st.level, st.edge, st.word, st.source, st.target) for st in steps]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fixed_example("e5"),
+        lambda: e_family(8, 7),
+        lambda: cycle_idempotent(10, 3, random.Random(1)),
+    ],
+    ids=["e5", "e8_7", "cycle10_3"],
+)
+def test_reach_word_memo_matches_fresh_hierarchies(make):
+    dfa = make()
+    result = build_gamma(dfa)
+    assert result.success
+    twin = dataclasses.replace(result)  # same fields, an empty memo
+    shown = repr(result)
+    masks = list(range(1, (1 << dfa.n) - 1))
+    fresh = {
+        mask: _reach_trace(*reach_word(dfa, build_gamma(dfa), StateSet.from_mask(mask)))
+        for mask in masks
+    }
+    copy = Dfa(dfa.n, dfa.alphabet, dfa.delta)
+    assert copy is not dfa and copy == dfa
+    rng = random.Random(dfa.n)
+    read = set()
+    for reader in (dfa, copy):
+        rng.shuffle(masks)
+        for mask in masks:
+            word, steps = reach_word(reader, result, StateSet.from_mask(mask))
+            assert _reach_trace(word, steps) == fresh[mask], mask
+            read.update(st.word for st in steps)
+    # One list of n preimage masks per distinct forcing word read.
+    assert result._preimages.keys() == read
+    for w, pre in result._preimages.items():
+        assert pre == preimage_masks(transformation_of(dfa, w))
+    assert repr(result) == shown
+    assert result == twin and not twin._preimages
 
 
 def test_reach_word_calls_expand_step_once_per_round(monkeypatch):
