@@ -203,8 +203,6 @@ class CanonicalWordSet:
         kept: list[_Entry] = []
         heap = self._waiting[len(self._by_defect)]
         self._by_defect.append(kept)
-        if not heap:  # skip the set-up: most small random automata stop here
-            return
         n, m, rows, high = self._n, self._m, self._rows, self._high
         best, waiting = self._best, self._waiting
         full = (1 << n) - 1

@@ -21,6 +21,13 @@ level is the same edgeless condensation, and the levels up to the step of
 the largest leafage are appended without walking their defects.  A search
 that stops at its cap certifies nothing, and the walk goes on.
 
+Many small random automata never reach the walk.  A word's defect is at
+least that of each of its letters, and a word of permutations has defect 0.
+So when n >= 2 and no letter has defect 1, no word has defect 1, and level
+1 is n singletons with no edge: FAILURE at step 1, read off the letters'
+image sizes before any word is walked.  No word then extends an (n-1)-set,
+so such an automaton is never completely reachable.
+
 A level graph is stored only as rows, one out-neighbour mask per vertex:
 its forced edges ORed with its inherited row, the rows of a previous-level
 cluster's members mapped through the cluster ids.  Edge pairs are built
@@ -40,7 +47,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .automaton import Dfa, StateSet, Word, _is_int, iter_bits, preimage_table
-from .canonical import CanonicalWordSet
+from .canonical import CanonicalWordSet, word_decoder
 from .digraph import SimpleDigraph, strongly_connected_components
 
 SUCCESS = "SUCCESS"
@@ -96,6 +103,19 @@ class ClusterForest:
 
     def leafage(self, node: int) -> StateSet:
         return StateSet.from_mask(self.leafage_mask(node))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClusterForest):
+            return NotImplemented
+        return (self._starts, self._parent, self._leafage) == (
+            other._starts, other._parent, other._leafage
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ClusterForest(starts={self._starts!r}, parent={self._parent!r}, "
+            f"leafage={self._leafage!r})"
+        )
 
     def _push_level(self, cluster_id: Sequence[int], count: int) -> None:
         """Append ``count`` nodes, new node i owning the top nodes first + v
@@ -215,9 +235,16 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     forest level, so the levels up to the largest leafage L are appended as
     they are, and FAILURE comes at step L with the same levels, forest and
     witness that walking every defect to L gives.
+
+    With n >= 2 and no letter of defect 1, no word has defect 1: a word's
+    defect is at least each of its letters', and a word of permutations has
+    defect 0.  Level 1 is then that edgeless case, with every leafage a
+    single state, so FAILURE at step 1 is returned before the walk is built.
     """
     n = dfa.n
     forest = ClusterForest(n)
+    if n > 1 and not _has_defect_one_letter(dfa):
+        return _settle_edgeless(dfa, forest, [])
     starts, leafages = forest._starts, forest._leafage
     cws = CanonicalWordSet(dfa)
     levels: list[GammaLevel] = []
@@ -273,7 +300,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         if not any(inherited_rows) and all(
             _extension_search(dfa, full ^ mask) is False for mask in leafages[stop:]
         ):
-            return _settle_edgeless(dfa, forest, levels, ForcingWords({}, cws.word))
+            return _settle_edgeless(dfa, forest, levels)
         inherited = frozenset(
             (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
         )
@@ -284,8 +311,14 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             raise RuntimeError("hierarchy failed to settle within n-1 steps")
 
 
+def _has_defect_one_letter(dfa: Dfa) -> bool:
+    """Whether some letter's image misses exactly one state."""
+    size = dfa.n - 1
+    return any(len(set(column)) == size for column in zip(*dfa.delta))
+
+
 def _settle_edgeless(
-    dfa: Dfa, forest: ClusterForest, levels: list[GammaLevel], no_words: ForcingWords
+    dfa: Dfa, forest: ClusterForest, levels: list[GammaLevel]
 ) -> GammaResult:
     """FAILURE at the step of the largest leafage on the forest's top level.
 
@@ -297,6 +330,7 @@ def _settle_edgeless(
     leaf = tuple(leafages[starts[-2]:])
     count = len(leaf)
     graph = SimpleDigraph(count, [0] * count)
+    no_words = ForcingWords({}, word_decoder(dfa.m))
     last = max(map(int.bit_count, leaf))
     for k in range(len(levels) + 1, last + 1):
         vertices = tuple(range(starts[k - 1], starts[k]))

@@ -460,13 +460,14 @@ def test_least_penetrating_level_forces_all_its_penetrating_edges():
 
 
 def settle_corpus():
-    """Every shape the edgeless-level stop meets or must not meet: random
-    draws, every cycle + idempotent member with 4 <= n <= 14, the E family
-    and its twins with n <= 11, and the Cerny automata with n <= 19."""
+    """Every shape the edgeless stops meet or must not meet: random draws
+    with one to three letters and 1 <= n <= 10, every cycle + idempotent
+    member with 4 <= n <= 14, the E family and its twins with n <= 11, and
+    the Cerny automata with n <= 19."""
     rng = random.Random(27)
     dfas = [
         random_dfa(n, m, seed)
-        for n in range(2, 11)
+        for n in range(1, 11)
         for m in range(1, 4)
         for seed in range(60)
     ]
@@ -485,27 +486,36 @@ def hierarchy_bytes(dfa):
 
 
 def test_edgeless_stop_keeps_the_hierarchy_byte_for_byte(monkeypatch):
-    # A level whose condensation has no edge ends the run once no word
+    # An automaton with no letter of defect 1 ends the run before the walk,
+    # and a level whose condensation has no edge ends it once no word
     # extends the complement of any cluster's leafage.  The same automata
-    # walked to the end, with every search answering "unknown", must give
-    # the same documents, witnesses and terminal steps.
+    # walked to the end, with neither stop taken and every search answering
+    # "unknown", must give the same documents, witnesses and terminal steps.
     dfas = settle_corpus()
-    settled = set()
+    walked_before_stop = {}  # id(dfa) -> levels built before _settle_edgeless
     settle = gamma_module._settle_edgeless
-    monkeypatch.setattr(
-        gamma_module,
-        "_settle_edgeless",
-        lambda dfa, *rest: settled.add(id(dfa)) or settle(dfa, *rest),
-    )
+
+    def spy(dfa, forest, levels):
+        walked_before_stop[id(dfa)] = len(levels)
+        return settle(dfa, forest, levels)
+
+    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
     shortcut = [hierarchy_bytes(dfa) for dfa in dfas]
+    stops = [walked_before_stop.get(id(dfa)) for dfa in dfas]
+    walked_before_stop.clear()
+    monkeypatch.setattr(gamma_module, "_has_defect_one_letter", lambda dfa: True)
     monkeypatch.setattr(gamma_module, "_extension_search", lambda dfa, s: None)
     walked = [hierarchy_bytes(dfa) for dfa in dfas]
+    assert not walked_before_stop
     for dfa, short, full in zip(dfas, shortcut, walked):
         assert json.dumps(short[0]) == json.dumps(full[0]), dfa
         assert short[1:] == full[1:], dfa
-    # Not vacuous: random draws and deep cycle members take the stop, some
-    # of them several levels before their terminal step.
-    steps = [full[2] for dfa, full in zip(dfas, walked) if id(dfa) in settled]
+    # Not vacuous: many draws stop before the walk, and random draws and
+    # deep cycle members stop at an edgeless level, some of them several
+    # levels before their terminal step.
+    before_walk = [full[2] for stop, full in zip(stops, walked) if stop == 0]
+    assert len(before_walk) > 100 and set(before_walk) == {1}
+    steps = [full[2] for stop, full in zip(stops, walked) if stop]
     assert len(steps) > 30 and max(steps) == 7
 
 
@@ -563,3 +573,51 @@ def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     witness = unreachable_witness(result, dfa)
     assert witness == StateSet(q for q in range(n) if q % g)
     assert gamma_module._extension_search(dfa, witness.mask) is False
+
+
+def test_stop_before_the_walk_is_sound(monkeypatch):
+    # A completely reachable automaton reaches an (n-1)-set Q·w, so w has
+    # defect 1, and some letter of w has defect 1: a word's defect is at
+    # least each of its letters', and a word of permutations has defect 0.
+    # So every automaton stopped before the walk is not completely reachable.
+    stopped = []
+    has_one = gamma_module._has_defect_one_letter
+
+    def spy(dfa):
+        answer = has_one(dfa)
+        if not answer:
+            stopped.append(dfa)
+        return answer
+
+    monkeypatch.setattr(gamma_module, "_has_defect_one_letter", spy)
+    corpus = small_corpus() + [dfa for dfa in settle_corpus() if dfa.n <= 8]
+    for dfa in corpus:
+        build_gamma(dfa)
+        if dfa.n > 1 and is_cr_bruteforce(dfa):
+            assert has_one(dfa), dfa
+    assert len(stopped) > 100
+    for dfa in stopped:
+        assert dfa.n >= 2 and not is_cr_bruteforce(dfa), dfa
+    # One state: no letter has defect 1, and the run stays SUCCESS at step 1.
+    for m in (1, 2, 3):
+        dfa = random_dfa(1, m, m)
+        result = build_gamma(dfa)
+        assert result.outcome == SUCCESS and result.terminal_step == 1
+
+
+def test_results_compare_by_value_and_show_no_address():
+    stop_path = random_dfa(8, 2, 1)  # no letter of defect 1
+    assert not gamma_module._has_defect_one_letter(stop_path)
+    builds = []
+    for dfa in (fixed_example("e5"), e_family(5, 4, drop_last_b=True), stop_path):
+        first, second = build_gamma(dfa), build_gamma(Dfa(dfa.n, dfa.alphabet, dfa.delta))
+        assert first == second and first.forest == second.forest
+        assert repr(first) == repr(second) and " at 0x" not in repr(first)
+        builds.append(first)
+    e5, twin, stopped = builds
+    assert e5 != twin and e5.forest != twin.forest != stopped.forest
+    assert repr(e5.forest) == (
+        "ClusterForest(starts=[0, 5, 8, 10, 11], "
+        "parent=[5, 5, 6, 7, 7, 8, 8, 9, 10, 10, None], "
+        "leafage=[1, 2, 4, 8, 16, 3, 4, 24, 7, 24, 31])"
+    )
