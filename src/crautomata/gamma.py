@@ -46,7 +46,16 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .automaton import Dfa, StateSet, Word, _is_int, iter_bits, preimage_table
+from .automaton import (
+    Dfa,
+    StateSet,
+    Word,
+    _is_int,
+    iter_bits,
+    packed_images,
+    packed_preimages,
+    step_all,
+)
 from .canonical import CanonicalWordSet, word_decoder
 from .digraph import SimpleDigraph, strongly_connected_components
 
@@ -339,45 +348,44 @@ def _settle_edgeless(
     return GammaResult(FAILURE, last, tuple(levels), forest, dfa)
 
 
-# The most tuples _extension_search expands before it answers None.
+# The most sets _extension_search expands before it answers None.
 _SEARCH_CAP = 4096
-# A one-state preimage table's marks for a block with no state and with two
-# or more; ``min`` of a tuple sees an empty block first.
-_NONE, _MANY = -2, -1
 
 
 def _extension_search(dfa: Dfa, s: int) -> bool | None:
     """Whether some word extends the non-empty state set ``s`` (a mask).
 
     A word w extends S when every state of S has a w-preimage and some
-    state has two.  The search is breadth-first over the tuples
-    (q·w^-1 for q in S), prepending one letter at a time.  A tuple with an
-    empty block is dropped, since prepending keeps that block empty; one
-    with a two-state block answers True.  So only tuples of single states
-    are expanded, and a letter maps each of them through the one-state
-    preimages of ``preimage_table``.  False, found when every tuple is
-    expanded, is a proof; None means the search stopped at the cap.
+    state has two.  The search is breadth-first over the sets T = S·w^-1
+    that keep one preimage per state of S, prepending one letter at a time.
+    Every state of S keeps a preimage under aw iff T lies inside the image
+    of a, and then some state gets two iff |T·a^-1| > |T|.  Both tests read
+    only T, so deduplicating by T keeps the answer, and breadth-first order
+    still meets a shortest extending word first.  False, found when every
+    set is expanded, is a proof; None means the search stopped at the cap.
     """
-    single = [
-        tuple(
-            _NONE if not pre else _MANY if pre & (pre - 1) else pre.bit_length() - 1
-            for pre in column
-        )
-        for column in preimage_table(dfa)
-    ]
-    queue = [tuple(iter_bits(s))]
-    seen = set(queue)
-    for expanded, blocks in enumerate(queue):  # grows while it is read
+    n = dfa.n
+    full = (1 << n) - 1
+    shifts = range(0, dfa.m * n, n)
+    cover = step_all(packed_images(dfa), full)
+    images = [cover >> shift & full for shift in shifts]
+    packed = packed_preimages(dfa)
+    queue = [s]
+    seen = {s}
+    for expanded, t in enumerate(queue):  # grows while it is read
         if expanded >= _SEARCH_CAP:
             return None
-        for column in single:
-            t = tuple(map(column.__getitem__, blocks))
-            low = min(t)
-            if low == _MANY:
+        pres = step_all(packed, t)
+        size = t.bit_count()
+        for shift, image in zip(shifts, images):
+            if t & ~image:
+                continue
+            pre = pres >> shift & full
+            if pre.bit_count() > size:
                 return True
-            if low != _NONE and t not in seen:
-                seen.add(t)
-                queue.append(t)
+            if pre not in seen:
+                seen.add(pre)
+                queue.append(pre)
     return False
 
 

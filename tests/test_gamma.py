@@ -21,12 +21,14 @@ from crautomata import (
     is_cr_bruteforce,
     is_strongly_connected,
     powerset_reach_map,
+    preimage_table,
     random_dfa,
     reach_word,
     strongly_connected_components,
     unreachable_witness,
 )
 from crautomata import gamma as gamma_module
+from crautomata.automaton import iter_bits
 
 
 def leafages_at(result, level):
@@ -459,11 +461,25 @@ def test_least_penetrating_level_forces_all_its_penetrating_edges():
     assert checked > 3000
 
 
+def block_family(h):
+    """B_h: states 0..2h-1 in blocks A = {0..h-1} and B = {h..2h-1}.  c
+    rotates each block, t swaps 0 <-> 1 and h <-> h+1, s maps q to q + h
+    mod 2h, and a sends 0 to 1 and fixes every other state.  No word
+    extends B, though its permutations make many preimage tuples of B."""
+    n = 2 * h
+    swap = {0: 1, 1: 0, h: h + 1, h + 1: h}
+    delta = [
+        (q // h * h + (q + 1) % h, swap.get(q, q), (q + h) % n, 1 if q == 0 else q)
+        for q in range(n)
+    ]
+    return Dfa(n, ("c", "t", "s", "a"), delta)
+
+
 def settle_corpus():
     """Every shape the edgeless stops meet or must not meet: random draws
     with one to three letters and 1 <= n <= 10, every cycle + idempotent
-    member with 4 <= n <= 14, the E family and its twins with n <= 11, and
-    the Cerny automata with n <= 19."""
+    member with 4 <= n <= 14, the E family and its twins with n <= 11, the
+    Cerny automata with n <= 19, and B_h with h <= 7."""
     rng = random.Random(27)
     dfas = [
         random_dfa(n, m, seed)
@@ -476,6 +492,7 @@ def settle_corpus():
         dfas += [e_family(n, k) for k in range(2, n)]
         dfas.append(e_family(n, n - 1, drop_last_b=True))
     dfas += [cerny(n) for n in range(2, 20)]
+    dfas += [block_family(h) for h in range(2, 8)]
     return dfas
 
 
@@ -552,6 +569,47 @@ def test_extension_search_is_sound_against_the_oracle():
     assert answers[True] > 1000 and answers[False] > 1000
 
 
+def _extension_search_tuples(dfa, s):
+    """The tuple search that the set search replaced, with no cap.
+
+    It is breadth-first over the tuples (q·w^-1 for q in S), dropping a
+    tuple with an empty block and answering True at one with a two-state
+    block.  It always ends: there are finitely many tuples of states.
+    """
+    none, many = -2, -1  # ``min`` of a tuple sees an empty block first
+    single = [
+        tuple(
+            none if not pre else many if pre & (pre - 1) else pre.bit_length() - 1
+            for pre in column
+        )
+        for column in preimage_table(dfa)
+    ]
+    queue = [tuple(iter_bits(s))]
+    seen = set(queue)
+    for blocks in queue:  # grows while it is read
+        for column in single:
+            t = tuple(map(column.__getitem__, blocks))
+            low = min(t)
+            if low == many:
+                return True
+            if low != none and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return False
+
+
+def test_extension_search_matches_tuple_version():
+    # The set search answers what the tuple search answers on every
+    # non-empty proper subset, and never stops at its cap on these inputs.
+    answers = {True: 0, False: 0}
+    for dfa in small_corpus():
+        for s in range(1, (1 << dfa.n) - 1):
+            want = _extension_search_tuples(dfa, s)
+            assert gamma_module._extension_search(dfa, s) is want, (dfa, s)
+            answers[want] += 1
+    assert answers[True] > 1000 and answers[False] > 1000
+
+
 def test_extension_search_at_its_cap_answers_unknown(monkeypatch):
     monkeypatch.setattr(gamma_module, "_SEARCH_CAP", 0)
     for dfa in small_corpus()[::7]:
@@ -559,7 +617,7 @@ def test_extension_search_at_its_cap_answers_unknown(monkeypatch):
             assert gamma_module._extension_search(dfa, s) is None
 
 
-@pytest.mark.parametrize("n, d", [(30, 5), (48, 12), (96, 24)])
+@pytest.mark.parametrize("n, d", [(30, 5), (48, 12), (96, 24), (192, 48)])
 def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     # b is the n-cycle q -> q + 1 and a sends 0 to d: gcd(n, d) = g level-1
     # clusters of n/g states, the residue classes mod g, and no edge between
@@ -573,6 +631,36 @@ def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     witness = unreachable_witness(result, dfa)
     assert witness == StateSet(q for q in range(n) if q % g)
     assert gamma_module._extension_search(dfa, witness.mask) is False
+
+
+@pytest.mark.parametrize("h", range(2, 11))
+def test_block_family_fails_at_step_h_with_a_certified_witness(h):
+    dfa = block_family(h)
+    result = build_gamma(dfa)
+    assert result.outcome == FAILURE and result.terminal_step == h
+    witness = unreachable_witness(result, dfa)
+    assert witness == StateSet(range(h, 2 * h))
+    assert gamma_module._extension_search(dfa, witness.mask) is False
+    if h <= 5:
+        assert powerset_reach_map(dfa).word_for(witness) is None
+
+
+@pytest.mark.parametrize("h", range(7, 11))
+def test_block_family_settles_at_an_edgeless_level(h, monkeypatch):
+    # A tuple search expands 2·h! preimage tuples of B, past its cap from
+    # h = 7 on; the set search expands two sets.  So the run settles after
+    # level 1 instead of walking every defect to step h.
+    settled = []
+    settle = gamma_module._settle_edgeless
+
+    def spy(dfa, forest, levels):
+        settled.append(len(levels))
+        return settle(dfa, forest, levels)
+
+    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
+    result = build_gamma(block_family(h))
+    assert result.terminal_step == h
+    assert settled == [1]
 
 
 def test_stop_before_the_walk_is_sound(monkeypatch):
