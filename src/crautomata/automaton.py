@@ -12,6 +12,11 @@ at bits a·n; ``packed_preimages`` holds the preimages the same way.
 ``step_all`` ORs one entry per chunk, so a set's images under all m letters
 cost one lookup per chunk instead of m loops over its states.  Chunk c's
 table is filled whole, 2^min(8, n - 8c) entries, and cached per automaton.
+
+``letter_rows`` builds the per-state rows behind both the image table and
+the canonical walk.  ``images_of_full`` reads Q's images off the letter
+columns and fills no table; the decision, the oracle's yes/no search and
+the halving phase read Q's images from it.
 """
 
 from __future__ import annotations
@@ -221,6 +226,35 @@ def _chunk_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def letter_rows(dfa: Dfa, first: int, width: int) -> list[int]:
+    """Every letter's image of each state, one int per state.
+
+    ``rows[p]`` has bit ``first + a·width + delta[p][a]`` set for every
+    letter a: ``(0, n)`` packs the images as ``step_all`` does, and the
+    walk's ``(n, 2n)`` leaves the low half of each field free.
+    """
+    rows = [0] * dfa.n
+    shifts = range(first, first + dfa.m * width, width)
+    for shift, column in zip(shifts, zip(*dfa.delta)):
+        rows = [r | 1 << shift + q for r, q in zip(rows, column)]
+    return rows
+
+
+def images_of_full(dfa: Dfa) -> int:
+    """Every letter's image of Q, letter a at bits a·n, as ``step_all`` packs it.
+
+    Q·a is the set of values in column a of ``delta``, so no table is filled.
+    """
+    n = dfa.n
+    images = 0
+    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
+        image = 0
+        for q in column:
+            image |= 1 << q
+        images |= image << shift
+    return images
+
+
 @lru_cache(maxsize=8)
 def packed_images(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     """Per 8-state chunk, every letter's image of the states a byte marks.
@@ -229,11 +263,7 @@ def packed_images(dfa: Dfa) -> tuple[tuple[int, ...], ...]:
     image under a of the states 8c + i with bit i set in b; ``step_all``
     reads a whole set's images from it.
     """
-    n = dfa.n
-    rows = [0] * n
-    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
-        rows = [r | 1 << shift + q for r, q in zip(rows, column)]
-    return _chunk_tables(rows)
+    return _chunk_tables(letter_rows(dfa, 0, dfa.n))
 
 
 @lru_cache(maxsize=8)

@@ -56,9 +56,10 @@ reads them back and passes on only the image of the states it holds.
 
 The walk steps every letter at once: letter a owns the 2n bits from a·2n
 on, and ``_rows[p]`` holds every letter's image of state p in the high n
-bits of its field.  ORing the rows of alive gives its image, whose
-complement is the child's excl set, and a row that meets the image of the
-states before it marks states hit twice.  Then
+bits of its field, from the same ``automaton.letter_rows`` builder as the
+image table.  ORing the rows of alive gives its image, whose complement is
+the child's excl set, and a row that meets the image of the states before
+it marks states hit twice.  Then
 ``(_high ^ image) | twice >> n``, with ``_high`` all ones in every high
 half, holds letter a's child key ``excl << n | held`` in its field.
 """
@@ -68,7 +69,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from heapq import heappop, heappush
 
-from .automaton import Dfa, ExclDuplPair, StateSet, Word, _is_int
+from .automaton import Dfa, ExclDuplPair, StateSet, Word, _is_int, letter_rows
 
 # (code, excl mask, held mask)
 _Entry = tuple[int, int, int]
@@ -127,12 +128,8 @@ class CanonicalWordSet:
         # word(code) builds the word behind a kept entry's code.
         self.word = word_decoder(m)
         width = 2 * n
-        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n,
-        # filled one letter column at a time.
-        rows = [0] * n
-        for shift, column in zip(range(n, m * width, width), zip(*dfa.delta)):
-            rows = [r | 1 << shift + q for r, q in zip(rows, column)]
-        self._rows = rows
+        # _rows[p] has letter a's image of state p at bit delta[p][a] + a·2n + n.
+        self._rows = letter_rows(dfa, n, width)
         # Every field's high half set: that half's mask times the m-digit
         # repunit in base 2**width.
         self._high = ((1 << n) - 1 << n) * ((1 << m * width) - 1) // ((1 << width) - 1)

@@ -19,7 +19,10 @@ leaf(C) and it duplicates a state outside C.  So when a search finds no
 extending word for the complement of any cluster's leafage, every later
 level is the same edgeless condensation, and the levels up to the step of
 the largest leafage are appended without walking their defects.  A search
-that stops at its cap certifies nothing, and the walk goes on.
+that stops at its cap certifies nothing, and the walk goes on.  The search
+reads Q's images from ``automaton.images_of_full`` and steps backwards, and
+the walk's rows come from ``automaton.letter_rows``, so the decision never
+fills the forward image table.
 
 Many small random automata never reach the walk.  A word's defect is at
 least that of each of its letters, and a word of permutations has defect 0.
@@ -51,8 +54,8 @@ from .automaton import (
     StateSet,
     Word,
     _is_int,
+    images_of_full,
     iter_bits,
-    packed_images,
     packed_preimages,
     step_all,
 )
@@ -367,7 +370,7 @@ def _extension_search(dfa: Dfa, s: int) -> bool | None:
     n = dfa.n
     full = (1 << n) - 1
     shifts = range(0, dfa.m * n, n)
-    cover = step_all(packed_images(dfa), full)
+    cover = images_of_full(dfa)
     images = [cover >> shift & full for shift in shifts]
     packed = packed_preimages(dfa)
     queue = [s]

@@ -15,10 +15,10 @@ once from ``automaton.packed_images``, one lookup per 8-state chunk.
 
 Q is the exception in ``is_cr_bruteforce``: it is the one set that search
 always expands, and on most automata it rejects it is the only one, since
-without a letter of defect 1 no (n-1)-set is reached.  So Q's images are
-read straight from the letter columns of ``delta``, n·m bit-ORs, and the
-chunk table is filled only when a second set is expanded.  The other
-searches almost never stop at Q and use the table from the start.
+without a letter of defect 1 no (n-1)-set is reached.  So Q's images come
+from ``automaton.images_of_full``, n·m bit-ORs over the letter columns,
+and the chunk table is filled only when a second set is expanded.  The
+other searches almost never stop at Q and use the table from the start.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .automaton import (
     Transformation,
     Word,
     _is_int,
+    images_of_full,
     packed_images,
     step_all,
 )
@@ -96,21 +97,6 @@ def powerset_reach_map(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> ReachM
     return ReachMap(words)
 
 
-def _images_of_full(dfa: Dfa) -> int:
-    """``step_all(packed_images(dfa), full)`` without the table.
-
-    Q·a is the set of values in column a of ``delta``, placed at bits a·n.
-    """
-    n = dfa.n
-    images = 0
-    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
-        image = 0
-        for q in column:
-            image |= 1 << q
-        images |= image << shift
-    return images
-
-
 def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """True iff every non-empty subset of Q occurs as the image of Q.
 
@@ -133,7 +119,7 @@ def is_cr_bruteforce(dfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> bool:
         level = by_size[size]
         for mask in level:
             if mask == full:
-                images = _images_of_full(dfa)
+                images = images_of_full(dfa)
             else:
                 packed = packed or packed_images(dfa)
                 images = step_all(packed, mask)

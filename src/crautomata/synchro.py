@@ -23,8 +23,9 @@ The pair search steps backwards through the letter-preimage masks of
 under every letter at once from ``automaton.packed_preimages``, one lookup
 per 8-state chunk.  Either way the word is then rebuilt from the front,
 each letter the first that leaves a completion of the remaining length;
-the avoiding rebuild and the halving phase's first letter read images
-from ``automaton.packed_images`` the same way.  The pair table is
+the avoiding rebuild reads images from ``automaton.packed_images`` the
+same way.  The halving phase's first letter needs only Q's images, read
+from the letter columns by ``automaton.images_of_full``.  The pair table is
 polynomial.  The backward preimage search has no proven polynomial bound
 on general automata: nothing bounds the number of distinct preimage sets
 it meets by a polynomial in n.
@@ -46,6 +47,7 @@ from .automaton import (  # noqa: F401
     _is_int,
     apply_word_mask,
     excl_dupl,
+    images_of_full,
     iter_bits,
     packed_images,
     packed_preimages,
@@ -247,7 +249,7 @@ def halving_word(dfa: Dfa) -> Word:
     """
     n = dfa.n
     full = (1 << n) - 1
-    images = step_all(packed_images(dfa), full)
+    images = images_of_full(dfa)
     letter = min(range(dfa.m), key=lambda a: (images >> a * n & full).bit_count())
     if images >> letter * n & full == full:
         raise ValueError(

@@ -15,11 +15,13 @@ from crautomata import (
     transformation_of,
 )
 from crautomata.automaton import (
+    images_of_full,
+    letter_rows,
     packed_images,
     packed_preimages,
     step_all,
 )
-from crautomata.generators import cerny, fixed_example, random_dfa
+from crautomata.generators import cerny, e_family, fixed_example, random_dfa
 
 
 def test_state_set_basics():
@@ -225,6 +227,48 @@ def test_packed_tables_match_per_state_steps(n, m):
             preimage = sum(1 << p for p in range(n) if mask >> dfa.delta[p][a] & 1)
             assert images >> a * n & full == image
             assert preimages >> a * n & full == preimage
+
+
+def _shared_builder_corpus():
+    """Up to three 8-state chunks and four letters, and two identity letters."""
+    cases = [
+        random_dfa(n, m, s)
+        for n in (1, 2, 7, 8, 9, 16, 17, 24)
+        for m in (1, 2, 3, 4)
+        for s in range(3)
+    ]
+    return cases + [cerny(5), e_family(6, 3), Dfa(2, ("a", "b"), ((0, 0), (1, 1)))]
+
+
+def test_images_of_full_match_the_table():
+    for d in _shared_builder_corpus():
+        full = StateSet.full(d.n).mask
+        assert images_of_full(d) == step_all(packed_images(d), full), d
+
+
+def _table_rows(dfa):
+    # The image table's own column loop, letter a at bits a·n.
+    n = dfa.n
+    rows = [0] * n
+    for shift, column in zip(range(0, dfa.m * n, n), zip(*dfa.delta)):
+        rows = [r | 1 << shift + q for r, q in zip(rows, column)]
+    return rows
+
+
+def _walk_rows(dfa):
+    # The canonical walk's own column loop, letter a in the high half of
+    # the 2n bits from a·2n.
+    n, width = dfa.n, 2 * dfa.n
+    rows = [0] * n
+    for shift, column in zip(range(n, dfa.m * width, width), zip(*dfa.delta)):
+        rows = [r | 1 << shift + q for r, q in zip(rows, column)]
+    return rows
+
+
+def test_letter_rows_match_both_column_loops():
+    for d in _shared_builder_corpus():
+        assert letter_rows(d, 0, d.n) == _table_rows(d), d
+        assert letter_rows(d, d.n, 2 * d.n) == _walk_rows(d), d
 
 
 def test_extend_excl_dupl_walk():

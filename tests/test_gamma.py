@@ -28,7 +28,7 @@ from crautomata import (
     unreachable_witness,
 )
 from crautomata import gamma as gamma_module
-from crautomata.automaton import iter_bits
+from crautomata.automaton import iter_bits, packed_images
 
 
 def leafages_at(result, level):
@@ -617,12 +617,17 @@ def test_extension_search_at_its_cap_answers_unknown(monkeypatch):
             assert gamma_module._extension_search(dfa, s) is None
 
 
+def cycle_member(n, d):
+    """b is the n-cycle q -> q + 1 and a sends 0 to d, fixing every other state."""
+    return Dfa(n, ("a", "b"), tuple((d if q == 0 else q, (q + 1) % n) for q in range(n)))
+
+
 @pytest.mark.parametrize("n, d", [(30, 5), (48, 12), (96, 24), (192, 48)])
 def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     # b is the n-cycle q -> q + 1 and a sends 0 to d: gcd(n, d) = g level-1
     # clusters of n/g states, the residue classes mod g, and no edge between
     # them.  Walking defects 2 to n/g took 134 s and 3.56 GB at (30, 5).
-    dfa = Dfa(n, ("a", "b"), tuple((d if q == 0 else q, (q + 1) % n) for q in range(n)))
+    dfa = cycle_member(n, d)
     g = math.gcd(n, d)
     result = build_gamma(dfa)
     assert result.outcome == FAILURE and result.terminal_step == n // g
@@ -691,6 +696,56 @@ def test_stop_before_the_walk_is_sound(monkeypatch):
         dfa = random_dfa(1, m, m)
         result = build_gamma(dfa)
         assert result.outcome == SUCCESS and result.terminal_step == 1
+
+
+def test_the_decision_fills_no_image_table():
+    # The edgeless stop's search reads Q's images off the letter columns and
+    # steps backwards, and the walk builds its own rows, so neither the
+    # decision nor the witness fills the forward image table.  The cycle
+    # member and B_8 reach the search; e5 succeeds and the twin fails by the
+    # leafage test.
+    dfas = [
+        cycle_member(30, 5),
+        block_family(8),
+        fixed_example("e5"),
+        e_family(6, 5, drop_last_b=True),
+    ]
+    for dfa in dfas:
+        packed_images.cache_clear()
+        result = build_gamma(dfa)
+        if not result.success:
+            unreachable_witness(result, dfa)
+        assert packed_images.cache_info().currsize == 0, dfa
+
+
+def test_failure_ends_at_the_largest_top_leafage(monkeypatch):
+    # Before the walk, at an edgeless level, and by the paper's leafage test
+    # alike, FAILURE comes at the step of the largest leafage on the
+    # forest's top level, and the witness is the complement of one of them.
+    # The leafage test stops at k with every leafage at most k, and one was
+    # at least k a step earlier, so the largest is exactly k.
+    routes = []
+    settle = gamma_module._settle_edgeless
+
+    def spy(dfa, forest, levels):
+        routes[-1] = "before walk" if not levels else "edgeless"
+        return settle(dfa, forest, levels)
+
+    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
+    for dfa in settle_corpus():
+        routes.append("leafage test")
+        result = build_gamma(dfa)
+        if result.success:
+            routes.pop()
+            continue
+        forest = result.forest
+        top = [forest.leafage_mask(c) for c in forest.level_nodes(forest.level_count)]
+        assert result.terminal_step == max(map(int.bit_count, top)), dfa
+        full = (1 << dfa.n) - 1
+        assert full ^ unreachable_witness(result, dfa).mask in top, dfa
+    counts = {route: routes.count(route) for route in set(routes)}
+    assert set(counts) == {"before walk", "edgeless", "leafage test"}, counts
+    assert min(counts.values()) > 10, counts
 
 
 def test_results_compare_by_value_and_show_no_address():

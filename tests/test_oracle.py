@@ -16,7 +16,7 @@ from crautomata import (
     transition_monoid,
 )
 from crautomata import oracle
-from crautomata.automaton import packed_images, step_all
+from crautomata.automaton import packed_images
 
 IDENTITY2 = Dfa(2, ("a", "b"), ((0, 0), (1, 1)))
 
@@ -126,16 +126,6 @@ def test_is_cr_bruteforce_fills_the_table_once_past_q():
     assert is_cr_bruteforce(c5)
     info = packed_images.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-
-
-def test_images_of_full_match_the_table():
-    cases = [
-        random_dfa(n, m, s) for n in (1, 2, 7, 8, 9, 17) for m in (1, 2, 3) for s in range(5)
-    ]
-    cases += [cerny(5), e_family(6, 3), IDENTITY2]
-    for d in cases:
-        full = StateSet.full(d.n).mask
-        assert oracle._images_of_full(d) == step_all(packed_images(d), full)
 
 
 def test_reset_threshold_cerny():
