@@ -17,11 +17,16 @@ from .gamma import GammaResult, _check_built_for
 
 
 def format_word(word: Word, alphabet: Sequence[str]) -> str:
-    """Human-readable word: concatenated if letters are single characters."""
+    """Human-readable word: concatenated if every letter name is one character.
+
+    Deciding by the whole alphabet, not by the word's letters, keeps words
+    apart: with names ``a``, ``b`` and ``ab``, (0, 1) prints ``a b`` and
+    (2,) prints ``ab``.
+    """
     if not word:
         return "ε"
     names = [alphabet[a] for a in word]
-    if all(len(alphabet[a]) == 1 for a in set(word)):
+    if all(len(name) == 1 for name in alphabet):
         return "".join(names)
     return " ".join(names)
 

@@ -15,14 +15,14 @@ A level whose condensation has no edge between clusters may settle that
 FAILURE early.  A word w *extends* a state set S when every state of S has
 a w-preimage and some state of S has two.  A word forces an edge C -> D at
 some level exactly when it extends Q \\ leaf(C): its excl set lies inside
-leaf(C) and it duplicates a state outside C.  So when a search finds no
-extending word for the complement of any cluster's leafage, every later
-level is the same edgeless condensation, and the levels up to the step of
-the largest leafage are appended without walking their defects.  A search
-that stops at its cap certifies nothing, and the walk goes on.  The search
-reads Q's images from ``automaton.images_of_full`` and steps backwards, and
-the walk's rows come from ``automaton.letter_rows``, so the decision never
-fills the forward image table.
+leaf(C) and it duplicates a state outside C.  So one search starts from
+the complement of every cluster's leafage; when it finds no extending word,
+every later level is the same edgeless condensation, and the levels up to
+the step of the largest leafage are appended without walking their defects.
+A search that stops at its cap certifies nothing, and the walk goes on.
+The search reads Q's images from ``automaton.images_of_full`` and steps
+backwards, and the walk's rows come from ``automaton.letter_rows``, so the
+decision never fills the forward image table.
 
 Many small random automata never reach the walk.  A word's defect is at
 least that of each of its letters, and a word of permutations has defect 0.
@@ -241,12 +241,14 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     the number of steps by n-1.
 
     A level that ends in neither outcome and whose condensation has no edge
-    stops the walk once, for every new cluster C, no word extends
-    Q \\ leaf(C): a word forcing C -> D at any later level would extend it.
-    Each later level is then that edgeless condensation with an identity
-    forest level, so the levels up to the largest leafage L are appended as
-    they are, and FAILURE comes at step L with the same levels, forest and
-    witness that walking every defect to L gives.
+    stops the walk once no word extends Q \\ leaf(C) for any new cluster C:
+    a word forcing C -> D at any later level would extend it.  One
+    extension search, started from every new cluster's complement, answers
+    this for the whole level.  Each later level is then that edgeless
+    condensation with an identity forest level, so the levels up to the
+    largest leafage L are appended as they are, and FAILURE comes at step L
+    with the same levels, forest and witness that walking every defect to L
+    gives.
 
     With n >= 2 and no letter of defect 1, no word has defect 1: a word's
     defect is at least each of its letters', and a word of permutations has
@@ -309,9 +311,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         ]
         # An edge C -> D of the condensation came from a word that extends
         # Q \ leaf(C), so only an edgeless condensation can be certified.
-        if not any(inherited_rows) and all(
-            _extension_search(dfa, full ^ mask) is False for mask in leafages[stop:]
-        ):
+        if not any(inherited_rows) and _extension_search(
+            dfa, [full ^ mask for mask in leafages[stop:]]
+        ) is False:
             return _settle_edgeless(dfa, forest, levels)
         inherited = frozenset(
             (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
@@ -351,21 +353,26 @@ def _settle_edgeless(
     return GammaResult(FAILURE, last, tuple(levels), forest, dfa)
 
 
-# The most sets _extension_search expands before it answers None.
+# The most sets _extension_search expands per distinct start set before it
+# answers None.
 _SEARCH_CAP = 4096
 
 
-def _extension_search(dfa: Dfa, s: int) -> bool | None:
-    """Whether some word extends the non-empty state set ``s`` (a mask).
+def _extension_search(dfa: Dfa, starts: Sequence[int]) -> bool | None:
+    """Whether some word extends one of the non-empty state sets ``starts``.
 
     A word w extends S when every state of S has a w-preimage and some
     state has two.  The search is breadth-first over the sets T = S·w^-1
-    that keep one preimage per state of S, prepending one letter at a time.
-    Every state of S keeps a preimage under aw iff T lies inside the image
-    of a, and then some state gets two iff |T·a^-1| > |T|.  Both tests read
-    only T, so deduplicating by T keeps the answer, and breadth-first order
-    still meets a shortest extending word first.  False, found when every
-    set is expanded, is a proof; None means the search stopped at the cap.
+    that keep one preimage per state of S, prepending one letter at a time,
+    from every start at once.  Every state of S keeps a preimage under aw
+    iff T lies inside the image of a, and then some state gets two iff
+    |T·a^-1| > |T|.  Both tests read only T, so one queue and one seen set
+    serve every start, and breadth-first order still meets a shortest
+    extending word first.  True means some start has an extending word.
+    False, found when every set is expanded, proves that none has one: the
+    visited sets are then one closed family containing every start, and
+    sets of different sizes may share it.  None means the search expanded
+    ``_SEARCH_CAP`` sets per distinct start and stopped.
     """
     n = dfa.n
     full = (1 << n) - 1
@@ -373,10 +380,11 @@ def _extension_search(dfa: Dfa, s: int) -> bool | None:
     cover = images_of_full(dfa)
     images = [cover >> shift & full for shift in shifts]
     packed = packed_preimages(dfa)
-    queue = [s]
-    seen = {s}
+    queue = list(dict.fromkeys(starts))
+    seen = set(queue)
+    cap = _SEARCH_CAP * len(queue)
     for expanded, t in enumerate(queue):  # grows while it is read
-        if expanded >= _SEARCH_CAP:
+        if expanded >= cap:
             return None
         pres = step_all(packed, t)
         size = t.bit_count()

@@ -188,6 +188,12 @@ def test_format_word():
     assert format_word((), ("a", "b")) == "ε"
     assert format_word((0, 1, 0), ("a", "b")) == "aba"
     assert format_word((0, 2), ("a1", "a2", "b3")) == "a1 b3"
+    # One long name in the alphabet keeps every word spaced, so (a, b) and
+    # the one-letter word ab render apart.
+    mixed = ("a", "b", "ab")
+    assert format_word((0, 1), mixed) == "a b"
+    assert format_word((2,), mixed) == "ab"
+    assert format_word((1,), mixed) == "b"
 
 
 def test_format_states():

@@ -521,7 +521,7 @@ def test_edgeless_stop_keeps_the_hierarchy_byte_for_byte(monkeypatch):
     stops = [walked_before_stop.get(id(dfa)) for dfa in dfas]
     walked_before_stop.clear()
     monkeypatch.setattr(gamma_module, "_has_defect_one_letter", lambda dfa: True)
-    monkeypatch.setattr(gamma_module, "_extension_search", lambda dfa, s: None)
+    monkeypatch.setattr(gamma_module, "_extension_search", lambda dfa, starts: None)
     walked = [hierarchy_bytes(dfa) for dfa in dfas]
     assert not walked_before_stop
     for dfa, short, full in zip(dfas, shortcut, walked):
@@ -561,7 +561,7 @@ def test_extension_search_is_sound_against_the_oracle():
         reach = powerset_reach_map(dfa)
         cr = is_cr_bruteforce(dfa)
         for s in range(1, (1 << dfa.n) - 1):
-            answer = gamma_module._extension_search(dfa, s)
+            answer = gamma_module._extension_search(dfa, [s])
             answers[answer] += 1
             if answer is False:
                 assert reach.word_for(StateSet.from_mask(s)) is None, (dfa, s)
@@ -605,7 +605,7 @@ def test_extension_search_matches_tuple_version():
     for dfa in small_corpus():
         for s in range(1, (1 << dfa.n) - 1):
             want = _extension_search_tuples(dfa, s)
-            assert gamma_module._extension_search(dfa, s) is want, (dfa, s)
+            assert gamma_module._extension_search(dfa, [s]) is want, (dfa, s)
             answers[want] += 1
     assert answers[True] > 1000 and answers[False] > 1000
 
@@ -613,8 +613,61 @@ def test_extension_search_matches_tuple_version():
 def test_extension_search_at_its_cap_answers_unknown(monkeypatch):
     monkeypatch.setattr(gamma_module, "_SEARCH_CAP", 0)
     for dfa in small_corpus()[::7]:
-        for s in range(1, (1 << dfa.n) - 1):
-            assert gamma_module._extension_search(dfa, s) is None
+        proper = range(1, (1 << dfa.n) - 1)
+        for s in proper:
+            assert gamma_module._extension_search(dfa, [s]) is None
+        assert gamma_module._extension_search(dfa, list(proper)) is None
+
+
+def test_one_search_from_many_starts_answers_for_each():
+    # The answer for a set depends only on the set, so a search from a list
+    # of starts says True iff some start has an extending word and False
+    # iff none has one.  Lists mix set sizes and repeat sets.
+    rng = random.Random(33)
+    answers = {True: 0, False: 0}
+    for dfa in small_corpus():
+        proper = range(1, (1 << dfa.n) - 1)
+        single = {s: gamma_module._extension_search(dfa, [s]) for s in proper}
+        lists = [list(proper)] + [
+            rng.choices(proper, k=rng.randint(1, 5)) for _ in range(20)
+        ]
+        for starts in lists:
+            answer = gamma_module._extension_search(dfa, starts)
+            want = any(single[s] for s in starts)
+            assert answer is want, (dfa, starts)
+            answers[answer] += 1
+    assert answers[True] > 1000 and answers[False] > 1000
+
+
+def test_build_gamma_searches_once_per_edgeless_level(monkeypatch):
+    # Each search starts from the complements of every cluster on one new
+    # forest level, and no level is searched twice.
+    calls = []
+    search = gamma_module._extension_search
+
+    def spy(dfa, starts):
+        calls.append(list(starts))
+        return search(dfa, starts)
+
+    monkeypatch.setattr(gamma_module, "_extension_search", spy)
+    searched = 0
+    for dfa in settle_corpus() + [cycle_member(192, 48)]:
+        calls.clear()
+        result = build_gamma(dfa)
+        forest, full = result.forest, (1 << dfa.n) - 1
+        level = 1
+        for starts in calls:
+            level += 1
+            while level <= forest.level_count and starts != [
+                full ^ forest.leafage_mask(c) for c in forest.level_nodes(level)
+            ]:
+                level += 1
+            assert level <= forest.level_count, (dfa, starts)
+        searched += bool(calls)
+    assert searched > 30
+    # The (192, 48) cycle member has 48 level-1 clusters: one search from
+    # all 48 complements settles it.
+    assert len(calls) == 1 and len(calls[0]) == 48
 
 
 def cycle_member(n, d):
@@ -635,7 +688,7 @@ def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     assert not any(row for level in result.levels[1:] for row in level.graph.rows)
     witness = unreachable_witness(result, dfa)
     assert witness == StateSet(q for q in range(n) if q % g)
-    assert gamma_module._extension_search(dfa, witness.mask) is False
+    assert gamma_module._extension_search(dfa, [witness.mask]) is False
 
 
 @pytest.mark.parametrize("h", range(2, 11))
@@ -645,7 +698,7 @@ def test_block_family_fails_at_step_h_with_a_certified_witness(h):
     assert result.outcome == FAILURE and result.terminal_step == h
     witness = unreachable_witness(result, dfa)
     assert witness == StateSet(range(h, 2 * h))
-    assert gamma_module._extension_search(dfa, witness.mask) is False
+    assert gamma_module._extension_search(dfa, [witness.mask]) is False
     if h <= 5:
         assert powerset_reach_map(dfa).word_for(witness) is None
 
