@@ -11,25 +11,28 @@ cluster has a leafage of at most k states after step k; it always stops by
 step n-1.  The sink clusters behind the unreachable witness are read off
 the forest's top level, which holds the terminal level's clusters.
 
-A level whose condensation has no edge between clusters may settle that
-FAILURE early.  A word w *extends* a state set S when every state of S has
-a w-preimage and some state of S has two.  A word forces an edge C -> D at
+A level whose condensation has no edge between clusters may switch the
+walk off.  A word w *extends* a state set S when every state of S has a
+w-preimage and some state of S has two.  A word forces an edge C -> D at
 some level exactly when it extends Q \\ leaf(C): its excl set lies inside
 leaf(C) and it duplicates a state outside C.  So one search starts from
 the complement of every cluster's leafage; when it finds no extending word,
-every later level is the same edgeless condensation, and the levels up to
-the step of the largest leafage are appended without walking their defects.
-A search that stops at its cap certifies nothing, and the walk goes on.
-The search reads Q's images from ``automaton.images_of_full`` and steps
-backwards, and the walk's rows come from ``automaton.letter_rows``, so the
-decision never fills the forward image table.
+no later level gains an edge.  The walk is then switched off, and each
+later level is its vertices with no edge, every vertex a cluster of its
+own, built with no walk and no SCC.  The loop runs on to the leafage test,
+which ends it with FAILURE at the step of the largest leafage.  A search
+that stops at its cap certifies nothing, and the walk goes on.  The search
+reads Q's images from ``automaton.images_of_full`` and steps backwards, and
+the walk's rows come from ``automaton.letter_rows``, so the decision never
+fills the forward image table.
 
-Many small random automata never reach the walk.  A word's defect is at
+Many small random automata never build the walk.  A word's defect is at
 least that of each of its letters, and a word of permutations has defect 0.
 So when n >= 2 and no letter has defect 1, no word has defect 1, and level
-1 is n singletons with no edge: FAILURE at step 1, read off the letters'
-image sizes before any word is walked.  No word then extends an (n-1)-set,
-so such an automaton is never completely reachable.
+1 is n singletons with no edge: the walk is off from the start, read off
+the letters' image sizes, and the leafage test ends the run with FAILURE at
+step 1.  No word then extends an (n-1)-set, so such an automaton is never
+completely reachable.
 
 A level graph is stored only as rows, one out-neighbour mask per vertex:
 its forced edges ORed with its inherited row, the rows of a previous-level
@@ -241,26 +244,28 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     the number of steps by n-1.
 
     A level that ends in neither outcome and whose condensation has no edge
-    stops the walk once no word extends Q \\ leaf(C) for any new cluster C:
-    a word forcing C -> D at any later level would extend it.  One
-    extension search, started from every new cluster's complement, answers
-    this for the whole level.  Each later level is then that edgeless
-    condensation with an identity forest level, so the levels up to the
-    largest leafage L are appended as they are, and FAILURE comes at step L
-    with the same levels, forest and witness that walking every defect to L
+    switches the walk off once no word extends Q \\ leaf(C) for any new
+    cluster C: a word forcing C -> D at any later level would extend it.
+    One extension search, started from every new cluster's complement,
+    answers this for the whole level.  A level built with the walk off has
+    no forced and no inherited edge, so its graph is the inherited rows,
+    all empty, its clusters are its vertices and its forest level repeats
+    the one below; no walk and no SCC runs for it.  The loop runs on to the
+    leafage test, which ends it at the step L of the largest leafage with
+    the same levels, forest and witness that walking every defect to L
     gives.
 
     With n >= 2 and no letter of defect 1, no word has defect 1: a word's
     defect is at least each of its letters', and a word of permutations has
-    defect 0.  Level 1 is then that edgeless case, with every leafage a
-    single state, so FAILURE at step 1 is returned before the walk is built.
+    defect 0.  The walk is then never built: level 1 is built with the walk
+    off, every leafage a single state, and the leafage test ends the run
+    with FAILURE at step 1.
     """
     n = dfa.n
     forest = ClusterForest(n)
-    if n > 1 and not _has_defect_one_letter(dfa):
-        return _settle_edgeless(dfa, forest, [])
     starts, leafages = forest._starts, forest._leafage
-    cws = CanonicalWordSet(dfa)
+    cws = CanonicalWordSet(dfa) if n == 1 or _has_defect_one_letter(dfa) else None
+    decode = word_decoder(dfa.m) if cws is None else cws.word
     levels: list[GammaLevel] = []
     inherited_rows, inherited = [0] * n, frozenset()
     owner = list(range(n))
@@ -268,58 +273,67 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     full = (1 << n) - 1
     k = 1
     while True:
-        cws.grow(k)
         first, stop = starts[k - 1], starts[k]
         leaf = tuple(leafages[first:stop])
-        forced = [0] * (stop - first)
         codes: dict[tuple[int, int], int] = {}
-        for code, em, dm in cws.signatures_of_defect(k):
-            if k == 1:  # a defect-1 excl set is one state, a vertex of its own
-                src, dst = em.bit_length() - 1, dm
-            else:
-                src = owner[em.bit_length() - 1]
-                if em & ~leaf[src]:
-                    continue
-                dst = _image(dm, vertex_bit)
-            new = dst & ~(forced[src] | 1 << src)
-            if new:
-                forced[src] |= new
-                # Words come in shortlex order and each edge keeps its first,
-                # so ascending destinations put ``forcing`` in (len(w), w,
-                # edge) order.
-                while new:
-                    bit = new & -new
-                    new ^= bit
-                    codes[src, bit.bit_length() - 1] = code
-        graph = SimpleDigraph(len(leaf), [f | i for f, i in zip(forced, inherited_rows)])
-        forcing = ForcingWords(codes, cws.word)
+        if cws is None:
+            # No forced and no inherited edge: every vertex is a cluster.
+            graph = SimpleDigraph(len(leaf), inherited_rows)
+            cid, count = range(len(leaf)), len(leaf)
+        else:
+            cws.grow(k)
+            forced = [0] * len(leaf)
+            for code, em, dm in cws.signatures_of_defect(k):
+                if k == 1:  # a defect-1 excl set is one state, a vertex of its own
+                    src, dst = em.bit_length() - 1, dm
+                else:
+                    src = owner[em.bit_length() - 1]
+                    if em & ~leaf[src]:
+                        continue
+                    dst = _image(dm, vertex_bit)
+                new = dst & ~(forced[src] | 1 << src)
+                if new:
+                    forced[src] |= new
+                    # Words come in shortlex order and each edge keeps its
+                    # first, so ascending destinations put ``forcing`` in
+                    # (len(w), w, edge) order.
+                    while new:
+                        bit = new & -new
+                        new ^= bit
+                        codes[src, bit.bit_length() - 1] = code
+            graph = SimpleDigraph(
+                len(leaf), [f | i for f, i in zip(forced, inherited_rows)]
+            )
+            part = strongly_connected_components(graph)
+            cid, count = part.cluster_id, len(part.clusters)
+        forcing = ForcingWords(codes, decode)
         vertices = tuple(range(first, stop))
         levels.append(GammaLevel(k, vertices, leaf, graph, forcing, inherited))
-        part = strongly_connected_components(graph)
-        forest._push_level(part.cluster_id, len(part.clusters))
-        if len(part.clusters) == 1:
+        forest._push_level(cid, count)
+        if count == 1:
             return GammaResult(SUCCESS, k, tuple(levels), forest, dfa)
         if max(map(int.bit_count, leafages[stop:])) <= k:
             return GammaResult(FAILURE, k, tuple(levels), forest, dfa)
-        cid = part.cluster_id
-        cluster_bit = [1 << c for c in cid]
-        rows = [0] * len(part.clusters)
-        for c, row in zip(cid, graph.rows):
-            rows[c] |= row
-        inherited_rows = [
-            _image(row, cluster_bit) & ~(1 << c) for c, row in enumerate(rows)
-        ]
-        # An edge C -> D of the condensation came from a word that extends
-        # Q \ leaf(C), so only an edgeless condensation can be certified.
-        if not any(inherited_rows) and _extension_search(
-            dfa, [full ^ mask for mask in leafages[stop:]]
-        ) is False:
-            return _settle_edgeless(dfa, forest, levels)
-        inherited = frozenset(
-            (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
-        )
-        vertex_bit = [cluster_bit[v] for v in owner]
-        owner = [cid[v] for v in owner]
+        if cws is not None:
+            cluster_bit = [1 << c for c in cid]
+            rows = [0] * count
+            for c, row in zip(cid, graph.rows):
+                rows[c] |= row
+            inherited_rows = [
+                _image(row, cluster_bit) & ~(1 << c) for c, row in enumerate(rows)
+            ]
+            # An edge C -> D of the condensation came from a word that
+            # extends Q \ leaf(C), so only an edgeless condensation can be
+            # certified.
+            if not any(inherited_rows) and _extension_search(
+                dfa, [full ^ mask for mask in leafages[stop:]]
+            ) is False:
+                cws = None
+            inherited = frozenset(
+                (c, t) for c, row in enumerate(inherited_rows) for t in iter_bits(row)
+            )
+            vertex_bit = [cluster_bit[v] for v in owner]
+            owner = [cid[v] for v in owner]
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")
@@ -329,28 +343,6 @@ def _has_defect_one_letter(dfa: Dfa) -> bool:
     """Whether some letter's image misses exactly one state."""
     size = dfa.n - 1
     return any(len(set(column)) == size for column in zip(*dfa.delta))
-
-
-def _settle_edgeless(
-    dfa: Dfa, forest: ClusterForest, levels: list[GammaLevel]
-) -> GammaResult:
-    """FAILURE at the step of the largest leafage on the forest's top level.
-
-    Every level from the top one to there is what the loop would build when
-    no word can force an edge: the same vertices with no edge, each vertex a
-    cluster of its own, so the forest repeats the top level.
-    """
-    starts, leafages = forest._starts, forest._leafage
-    leaf = tuple(leafages[starts[-2]:])
-    count = len(leaf)
-    graph = SimpleDigraph(count, [0] * count)
-    no_words = ForcingWords({}, word_decoder(dfa.m))
-    last = max(map(int.bit_count, leaf))
-    for k in range(len(levels) + 1, last + 1):
-        vertices = tuple(range(starts[k - 1], starts[k]))
-        levels.append(GammaLevel(k, vertices, leaf, graph, no_words, frozenset()))
-        forest._push_level(range(count), count)
-    return GammaResult(FAILURE, last, tuple(levels), forest, dfa)
 
 
 # The most sets _extension_search expands per distinct start set before it

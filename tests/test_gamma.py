@@ -502,37 +502,79 @@ def hierarchy_bytes(dfa):
     return gamma_to_doc(result, dfa), witness, result.terminal_step
 
 
+def watch_the_walk(monkeypatch):
+    """Spy on the pair walk and the extension search of each build.
+
+    Append None to the returned list before each build: building a walk
+    replaces it with a record of the highest defect the walk grew to, and of
+    that defect again when a search answers False, or None if none does.
+    """
+    runs = []
+    init, grow = CanonicalWordSet.__init__, CanonicalWordSet.grow
+    search = gamma_module._extension_search
+
+    def spy_init(self, dfa):
+        runs[-1] = {"grown": 0, "settled": None}
+        init(self, dfa)
+
+    def spy_grow(self, defect_cap):
+        runs[-1]["grown"] = max(runs[-1]["grown"], defect_cap)
+        grow(self, defect_cap)
+
+    def spy_search(dfa, starts):
+        answer = search(dfa, starts)
+        if answer is False:
+            runs[-1]["settled"] = runs[-1]["grown"]
+        return answer
+
+    monkeypatch.setattr(CanonicalWordSet, "__init__", spy_init)
+    monkeypatch.setattr(CanonicalWordSet, "grow", spy_grow)
+    monkeypatch.setattr(gamma_module, "_extension_search", spy_search)
+    return runs
+
+
 def test_edgeless_stop_keeps_the_hierarchy_byte_for_byte(monkeypatch):
-    # An automaton with no letter of defect 1 ends the run before the walk,
-    # and a level whose condensation has no edge ends it once no word
+    # An automaton with no letter of defect 1 builds no walk, and a level
+    # whose condensation has no edge switches the walk off once no word
     # extends the complement of any cluster's leafage.  The same automata
-    # walked to the end, with neither stop taken and every search answering
-    # "unknown", must give the same documents, witnesses and terminal steps.
+    # walked to the end, with the walk always built and every search
+    # answering "unknown", must give the same documents, witnesses and
+    # terminal steps.
     dfas = settle_corpus()
-    walked_before_stop = {}  # id(dfa) -> levels built before _settle_edgeless
-    settle = gamma_module._settle_edgeless
-
-    def spy(dfa, forest, levels):
-        walked_before_stop[id(dfa)] = len(levels)
-        return settle(dfa, forest, levels)
-
-    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
-    shortcut = [hierarchy_bytes(dfa) for dfa in dfas]
-    stops = [walked_before_stop.get(id(dfa)) for dfa in dfas]
-    walked_before_stop.clear()
+    runs = watch_the_walk(monkeypatch)
+    shortcut = []
+    for dfa in dfas:
+        runs.append(None)
+        shortcut.append(hierarchy_bytes(dfa))
+    walks = runs[:]
+    runs.clear()
     monkeypatch.setattr(gamma_module, "_has_defect_one_letter", lambda dfa: True)
     monkeypatch.setattr(gamma_module, "_extension_search", lambda dfa, starts: None)
-    walked = [hierarchy_bytes(dfa) for dfa in dfas]
-    assert not walked_before_stop
+    walked = []
+    for dfa in dfas:
+        runs.append(None)
+        walked.append(hierarchy_bytes(dfa))
+    for walk, full in zip(runs, walked):
+        assert walk == {"grown": full[2], "settled": None}
     for dfa, short, full in zip(dfas, shortcut, walked):
         assert json.dumps(short[0]) == json.dumps(full[0]), dfa
         assert short[1:] == full[1:], dfa
+    # No run grows the walk past the level whose search answered False, and
+    # only such a run stops the walk below its terminal step.
+    for dfa, walk, full in zip(dfas, walks, walked):
+        if walk is not None:
+            stopped = walk["grown"] < full[2]
+            assert walk["settled"] == (walk["grown"] if stopped else None), dfa
     # Not vacuous: many draws stop before the walk, and random draws and
     # deep cycle members stop at an edgeless level, some of them several
     # levels before their terminal step.
-    before_walk = [full[2] for stop, full in zip(stops, walked) if stop == 0]
+    before_walk = [full[2] for walk, full in zip(walks, walked) if walk is None]
     assert len(before_walk) > 100 and set(before_walk) == {1}
-    steps = [full[2] for stop, full in zip(stops, walked) if stop]
+    steps = [
+        full[2]
+        for walk, full in zip(walks, walked)
+        if walk is not None and walk["grown"] < full[2]
+    ]
     assert len(steps) > 30 and max(steps) == 7
 
 
@@ -706,19 +748,13 @@ def test_block_family_fails_at_step_h_with_a_certified_witness(h):
 @pytest.mark.parametrize("h", range(7, 11))
 def test_block_family_settles_at_an_edgeless_level(h, monkeypatch):
     # A tuple search expands 2·h! preimage tuples of B, past its cap from
-    # h = 7 on; the set search expands two sets.  So the run settles after
-    # level 1 instead of walking every defect to step h.
-    settled = []
-    settle = gamma_module._settle_edgeless
-
-    def spy(dfa, forest, levels):
-        settled.append(len(levels))
-        return settle(dfa, forest, levels)
-
-    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
+    # h = 7 on; the set search expands two sets.  So the run switches the
+    # walk off after level 1 instead of walking every defect to step h.
+    runs = watch_the_walk(monkeypatch)
+    runs.append(None)
     result = build_gamma(block_family(h))
     assert result.terminal_step == h
-    assert settled == [1]
+    assert runs == [{"grown": 1, "settled": 1}]
 
 
 def test_stop_before_the_walk_is_sound(monkeypatch):
@@ -772,32 +808,33 @@ def test_the_decision_fills_no_image_table():
 
 
 def test_failure_ends_at_the_largest_top_leafage(monkeypatch):
-    # Before the walk, at an edgeless level, and by the paper's leafage test
-    # alike, FAILURE comes at the step of the largest leafage on the
-    # forest's top level, and the witness is the complement of one of them.
-    # The leafage test stops at k with every leafage at most k, and one was
-    # at least k a step earlier, so the largest is exactly k.
+    # With no walk, with the walk switched off at an edgeless level, and
+    # with the walk grown to the terminal step alike, FAILURE comes at the
+    # step of the largest leafage on the forest's top level, and the witness
+    # is the complement of one of them.  The leafage test stops at k with
+    # every leafage at most k, and one was at least k a step earlier, so the
+    # largest is exactly k.
     routes = []
-    settle = gamma_module._settle_edgeless
-
-    def spy(dfa, forest, levels):
-        routes[-1] = "before walk" if not levels else "edgeless"
-        return settle(dfa, forest, levels)
-
-    monkeypatch.setattr(gamma_module, "_settle_edgeless", spy)
+    runs = watch_the_walk(monkeypatch)
     for dfa in settle_corpus():
-        routes.append("leafage test")
+        runs.append(None)
         result = build_gamma(dfa)
         if result.success:
-            routes.pop()
             continue
+        walk = runs[-1]
+        if walk is None:
+            routes.append("no walk")
+        elif walk["grown"] < result.terminal_step:
+            routes.append("walk switched off")
+        else:
+            routes.append("walk to the end")
         forest = result.forest
         top = [forest.leafage_mask(c) for c in forest.level_nodes(forest.level_count)]
         assert result.terminal_step == max(map(int.bit_count, top)), dfa
         full = (1 << dfa.n) - 1
         assert full ^ unreachable_witness(result, dfa).mask in top, dfa
     counts = {route: routes.count(route) for route in set(routes)}
-    assert set(counts) == {"before walk", "edgeless", "leafage test"}, counts
+    assert set(counts) == {"no walk", "walk switched off", "walk to the end"}, counts
     assert min(counts.values()) > 10, counts
 
 
@@ -805,12 +842,21 @@ def test_results_compare_by_value_and_show_no_address():
     stop_path = random_dfa(8, 2, 1)  # no letter of defect 1
     assert not gamma_module._has_defect_one_letter(stop_path)
     builds = []
-    for dfa in (fixed_example("e5"), e_family(5, 4, drop_last_b=True), stop_path):
+    dfas = (
+        fixed_example("e5"),
+        e_family(5, 4, drop_last_b=True),
+        stop_path,
+        # The walk is switched off after level 1: the later levels, like
+        # every level of stop_path, are built with no walk.
+        cycle_member(30, 5),
+        block_family(8),
+    )
+    for dfa in dfas:
         first, second = build_gamma(dfa), build_gamma(Dfa(dfa.n, dfa.alphabet, dfa.delta))
         assert first == second and first.forest == second.forest
         assert repr(first) == repr(second) and " at 0x" not in repr(first)
         builds.append(first)
-    e5, twin, stopped = builds
+    e5, twin, stopped, *_ = builds
     assert e5 != twin and e5.forest != twin.forest != stopped.forest
     assert repr(e5.forest) == (
         "ClusterForest(starts=[0, 5, 8, 10, 11], "
