@@ -208,13 +208,12 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         "terminal_step": result.terminal_step,
     }
     lines = [
-        f"outcome: {result.outcome}",
-        f"terminal step: {result.terminal_step}",
-        f"completely reachable: {'yes' if result.success else 'no'}",
+        f"outcome: {doc['outcome']}",
+        f"terminal step: {doc['terminal_step']}",
+        f"completely reachable: {'yes' if doc['completely_reachable'] else 'no'}",
     ]
     if not result.success:
-        witness = unreachable_witness(result, dfa)
-        doc["unreachable_witness"] = sorted(witness)
+        witness = doc["unreachable_witness"] = sorted(unreachable_witness(result, dfa))
         lines.append(f"unreachable witness: {format_states(witness)}")
     return (0 if result.success else 1), doc, lines
 
@@ -306,16 +305,16 @@ def _cmd_sync(args: argparse.Namespace) -> Report:
         "cubic_bound": report.cubic_bound,
         "within_cubic": report.within_cubic,
     }
-    compressions = ", ".join(str(x) for x in report.compression_lengths) or "none"
+    compressions = ", ".join(str(x) for x in doc["compression_lengths"]) or "none"
     lines = [
         f"reset word: {doc['word_str']}",
-        f"length: {report.length}",
-        f"halving length: {report.halving_length}",
+        f"length: {doc['length']}",
+        f"halving length: {doc['halving_length']}",
         f"compression lengths: {compressions}",
-        f"cerny bound: {report.cerny_bound}"
-        f" ({'within' if report.within_cerny else 'exceeded'})",
-        f"cubic bound: {report.cubic_bound}"
-        f" ({'within' if report.within_cubic else 'exceeded'})",
+        f"cerny bound: {doc['cerny_bound']}"
+        f" ({'within' if doc['within_cerny'] else 'exceeded'})",
+        f"cubic bound: {doc['cubic_bound']}"
+        f" ({'within' if doc['within_cubic'] else 'exceeded'})",
     ]
     return 0, doc, lines
 
@@ -327,14 +326,17 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
             f"brute-force search refused: {dfa.n} states exceeds --max-n {args.max_n}"
         )
     if args.threshold:
-        threshold = reset_threshold_exact(dfa, args.max_n)
-        shown = "none" if threshold is None else str(threshold)
-        return 0, {"reset_threshold": threshold}, [f"reset threshold: {shown}"]
+        doc = {"reset_threshold": reset_threshold_exact(dfa, args.max_n)}
+        shown = "none" if doc["reset_threshold"] is None else doc["reset_threshold"]
+        return 0, doc, [f"reset threshold: {shown}"]
     if args.monoid:
         monoid = transition_monoid(dfa)
         singular = sum(1 for t in monoid.elements if len(set(t)) < dfa.n)
         doc = {"monoid_size": len(monoid), "singular_size": singular}
-        return 0, doc, [f"monoid size: {len(monoid)}", f"singular size: {singular}"]
+        return 0, doc, [
+            f"monoid size: {doc['monoid_size']}",
+            f"singular size: {doc['singular_size']}",
+        ]
     reach = powerset_reach_map(dfa, args.max_n)
     total = (1 << dfa.n) - 1
     cr = len(reach) == total

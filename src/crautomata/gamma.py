@@ -72,18 +72,18 @@ FAILURE = "FAILURE"
 class ClusterForest:
     """Layered containment forest over the original states.
 
-    Nodes get dense ids in creation order, one level at a time, so each level
-    is a range of ids: level k holds ``_starts[k-1]`` to ``_starts[k] - 1``.
-    Level 1 holds one node per state (node id = state index).  Each
-    higher-level node owns a group of nodes of the level below; its leafage is
-    the disjoint union of theirs, and within every level the leafages
-    partition the state set.
+    Built once by ``build_gamma`` and never changed.  Nodes get dense ids in
+    creation order, one level at a time, so level k holds ids ``starts[k-1]``
+    to ``starts[k] - 1``; level 1 holds one node per state (node id = state
+    index).  Each higher-level node is the ``parent`` of a group of nodes of
+    the level below (top nodes have None), its ``leafage`` mask the disjoint
+    union of theirs; within every level the leafages partition the states.
     """
 
-    def __init__(self, n: int):
-        self._starts: list[int] = [0, n]
-        self._parent: list[int | None] = [None] * n
-        self._leafage: list[int] = [1 << q for q in range(n)]
+    def __init__(self, starts: list[int], parent: list[int | None], leafage: list[int]):
+        self._starts = starts
+        self._parent = parent
+        self._leafage = leafage
 
     @property
     def level_count(self) -> int:
@@ -131,19 +131,6 @@ class ClusterForest:
             f"ClusterForest(starts={self._starts!r}, parent={self._parent!r}, "
             f"leafage={self._leafage!r})"
         )
-
-    def _push_level(self, cluster_id: Sequence[int], count: int) -> None:
-        """Append ``count`` nodes, new node i owning the top nodes first + v
-        with ``cluster_id[v] == i``; every i below count must occur."""
-        parent, leafage = self._parent, self._leafage
-        first, stop = self._starts[-2:]
-        masks = [0] * count
-        for c, mask in zip(cluster_id, leafage[first:]):
-            masks[c] |= mask
-        parent[first:] = [stop + c for c in cluster_id]
-        parent += [None] * count
-        leafage += masks
-        self._starts.append(len(parent))
 
 
 class ForcingWords(Mapping[tuple[int, int], Word]):
@@ -235,13 +222,16 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     out-neighbours as one mask: a word's destinations are D mapped to level
     vertices (D itself at level 1, where vertex q is state q), and its new
     edges go to those not yet in the source's mask, other than the source,
-    recorded in ascending order.  Each edge records the code of its word, and the walk's decoder
-    builds the word when ``forcing`` is read, so the decision itself builds
-    no word.  New forest node i is SCC cluster i, so the cluster ids carry
-    ``owner`` (state -> level-k vertex) and the graph's rows, as the
-    condensation, up one level.  Levels with no fresh edges and no
-    condensation progress are simply iterated past; the leafage test bounds
-    the number of steps by n-1.
+    recorded in ascending order.  Each edge records the code of its word,
+    and the walk's decoder builds the word when ``forcing`` is read, so the
+    decision itself builds no word.  New forest node i is SCC cluster i: the
+    loop appends each level's clusters to the forest's lists, which it owns,
+    and the cluster ids carry ``owner`` (state -> level-k vertex), the
+    leafages and the graph's rows, as the condensation, up one level.
+    Levels with no fresh edges and no condensation progress are simply
+    iterated past.  The one exit, taken on one cluster (SUCCESS) or on new
+    leafages of at most k states each (FAILURE), bounds the steps by n-1,
+    and only there are the ``ClusterForest`` and the ``GammaResult`` built.
 
     A level that ends in neither outcome and whose condensation has no edge
     switches the walk off once no word extends Q \\ leaf(C) for any new
@@ -262,8 +252,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     with FAILURE at step 1.
     """
     n = dfa.n
-    forest = ClusterForest(n)
-    starts, leafages = forest._starts, forest._leafage
+    leaf = tuple(1 << q for q in range(n))
+    starts, leafages = [0, n], list(leaf)
+    parent: list[int | None] = [None] * n
     cws = CanonicalWordSet(dfa) if n == 1 or _has_defect_one_letter(dfa) else None
     decode = word_decoder(dfa.m) if cws is None else cws.word
     levels: list[GammaLevel] = []
@@ -274,7 +265,6 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     k = 1
     while True:
         first, stop = starts[k - 1], starts[k]
-        leaf = tuple(leafages[first:stop])
         codes: dict[tuple[int, int], int] = {}
         if cws is None:
             # No forced and no inherited edge: every vertex is a cluster.
@@ -309,11 +299,17 @@ def build_gamma(dfa: Dfa) -> GammaResult:
         forcing = ForcingWords(codes, decode)
         vertices = tuple(range(first, stop))
         levels.append(GammaLevel(k, vertices, leaf, graph, forcing, inherited))
-        forest._push_level(cid, count)
-        if count == 1:
-            return GammaResult(SUCCESS, k, tuple(levels), forest, dfa)
-        if max(map(int.bit_count, leafages[stop:])) <= k:
-            return GammaResult(FAILURE, k, tuple(levels), forest, dfa)
+        masks = [0] * count
+        for c, mask in zip(cid, leaf):
+            masks[c] |= mask
+        parent[first:] = [stop + c for c in cid]
+        parent += [None] * count
+        leafages += masks
+        starts.append(len(parent))
+        if count == 1 or max(map(int.bit_count, masks)) <= k:
+            forest = ClusterForest(starts, parent, leafages)
+            outcome = SUCCESS if count == 1 else FAILURE
+            return GammaResult(outcome, k, tuple(levels), forest, dfa)
         if cws is not None:
             cluster_bit = [1 << c for c in cid]
             rows = [0] * count
@@ -326,7 +322,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             # extends Q \ leaf(C), so only an edgeless condensation can be
             # certified.
             if not any(inherited_rows) and _extension_search(
-                dfa, [full ^ mask for mask in leafages[stop:]]
+                dfa, [full ^ mask for mask in masks]
             ) is False:
                 cws = None
             inherited = frozenset(
@@ -334,6 +330,7 @@ def build_gamma(dfa: Dfa) -> GammaResult:
             )
             vertex_bit = [cluster_bit[v] for v in owner]
             owner = [cid[v] for v in owner]
+        leaf = tuple(masks)
         k += 1
         if k > n - 1:  # unreachable: with >= 2 clusters every leafage is < n
             raise RuntimeError("hierarchy failed to settle within n-1 steps")

@@ -108,18 +108,21 @@ def graph(n, edges):
 
 
 def reference_levels(dfa):
-    """Outcome, terminal step and (vertices, forcing items, inherited) per level.
+    """Outcome, terminal step, (vertices, leafages, forcing items, inherited)
+    per level, each non-top node's parent and the top level's leafages.
 
     Levels are built from whole signatures: a defect-k signature (X, D)
     forces an edge from the cluster whose leafage holds X to every other
     cluster whose leafage meets D, the first signature forcing an edge
     giving its word, the targets of one signature taken in vertex order.
+    A level's SCC clusters become the nodes of the level above, each the
+    parent of its members.
     """
     n = dfa.n
     leafages = [1 << q for q in range(n)]
     ids = list(range(n))
     inherited = frozenset()
-    levels = []
+    levels, parent = [], {}
     k = 1
     while True:
         forcing = {}
@@ -130,17 +133,19 @@ def reference_levels(dfa):
                 for dst, inner in enumerate(leafages):
                     if dst != src and dm & inner:
                         forcing.setdefault((src, dst), w)
-        levels.append((tuple(ids), list(forcing.items()), inherited))
+        levels.append((tuple(ids), tuple(leafages), list(forcing.items()), inherited))
         edges = inherited | set(forcing)
         part = strongly_connected_components(graph(len(ids), edges))
         leafages = [
             sum(leafages[v] for v in cluster) for cluster in part.clusters
         ]
-        ids = list(range(ids[-1] + 1, ids[-1] + 1 + len(leafages)))
+        top = list(range(ids[-1] + 1, ids[-1] + 1 + len(leafages)))
+        parent.update((v, top[c]) for v, c in zip(ids, part.cluster_id))
+        ids = top
         if len(leafages) == 1:
-            return SUCCESS, k, levels
+            return SUCCESS, k, levels, parent, leafages
         if all(leaf.bit_count() <= k for leaf in leafages):
-            return FAILURE, k, levels
+            return FAILURE, k, levels, parent, leafages
         cid = part.cluster_id
         inherited = frozenset(
             (cid[s], cid[t]) for s, t in edges if cid[s] != cid[t]
@@ -153,10 +158,19 @@ def test_levels_from_pairs_equal_levels_from_signatures():
     for dfa in corpus():
         result = build_gamma(dfa)
         got = [
-            (lv.vertices, list(lv.forcing.items()), lv.inherited)
+            (lv.vertices, lv.leafage, list(lv.forcing.items()), lv.inherited)
             for lv in result.levels
         ]
-        want = reference_levels(dfa)
-        assert (result.outcome, result.terminal_step, got) == want, dfa
+        outcome, step, levels, parent, top = reference_levels(dfa)
+        assert (result.outcome, result.terminal_step) == (outcome, step), dfa
+        assert got == levels, dfa
+        # Node ids are dense, level by level, so the levels' leafages and
+        # then the top level's list every node's leafage in id order.
+        leafage = [mask for level in levels for mask in level[1]] + top
+        forest = result.forest
+        assert forest.node_count == len(leafage), dfa
+        for node, mask in enumerate(leafage):
+            assert forest.parent_of(node) == parent.get(node), (dfa, node)
+            assert forest.leafage_mask(node) == mask, (dfa, node)
         outcomes.add((result.outcome, result.terminal_step > 1))
     assert len(outcomes) == 4  # both answers, at step 1 and deeper
