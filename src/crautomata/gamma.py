@@ -26,13 +26,13 @@ reads Q's images from ``automaton.images_of_full`` and steps backwards, and
 the walk's rows come from ``automaton.letter_rows``, so the decision never
 fills the forward image table.
 
-Many small random automata never build the walk.  A word's defect is at
-least that of each of its letters, and a word of permutations has defect 0.
-So when n >= 2 and no letter has defect 1, no word has defect 1, and level
-1 is n singletons with no edge: the walk is off from the start, read off
-the letters' image sizes, and the leafage test ends the run with FAILURE at
-step 1.  No word then extends an (n-1)-set, so such an automaton is never
-completely reachable.
+The walk is built iff some letter has defect 1.  A word's defect is at
+least each of its letters', and a word of permutations has defect 0, so
+otherwise no word has defect 1 and level 1 is n singletons with no edge.
+With n >= 2 the leafage test ends the run with FAILURE at step 1: no word
+extends an (n-1)-set, so the automaton is not completely reachable.  One
+state is one cluster: SUCCESS at step 1, as the walk would give.  Many
+small random automata never build the walk.
 
 A level graph is stored only as rows, one out-neighbour mask per vertex:
 its forced edges ORed with its inherited row, the rows of a previous-level
@@ -245,17 +245,16 @@ def build_gamma(dfa: Dfa) -> GammaResult:
     the same levels, forest and witness that walking every defect to L
     gives.
 
-    With n >= 2 and no letter of defect 1, no word has defect 1: a word's
-    defect is at least each of its letters', and a word of permutations has
-    defect 0.  The walk is then never built: level 1 is built with the walk
-    off, every leafage a single state, and the leafage test ends the run
-    with FAILURE at step 1.
+    The walk is built iff some letter has defect 1; otherwise no word has
+    defect 1.  Level 1 is then built with the walk off, every leafage a
+    single state, and the run ends at step 1: FAILURE on the leafage test
+    for n >= 2, SUCCESS on one cluster for a one-state automaton.
     """
     n = dfa.n
     leaf = tuple(1 << q for q in range(n))
     starts, leafages = [0, n], list(leaf)
     parent: list[int | None] = [None] * n
-    cws = CanonicalWordSet(dfa) if n == 1 or _has_defect_one_letter(dfa) else None
+    cws = CanonicalWordSet(dfa) if _has_defect_one_letter(dfa) else None
     decode = word_decoder(dfa.m) if cws is None else cws.word
     levels: list[GammaLevel] = []
     inherited_rows, inherited = [0] * n, frozenset()
@@ -337,7 +336,9 @@ def build_gamma(dfa: Dfa) -> GammaResult:
 
 
 def _has_defect_one_letter(dfa: Dfa) -> bool:
-    """Whether some letter's image misses exactly one state."""
+    """Whether some letter's image misses exactly one state: the one rule for
+    whether ``build_gamma`` walks.  A one-state automaton has no such letter,
+    and its walk-free level 1 is one cluster."""
     size = dfa.n - 1
     return any(len(set(column)) == size for column in zip(*dfa.delta))
 

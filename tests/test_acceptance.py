@@ -7,6 +7,8 @@ import math
 import random
 import time
 
+from shared import leafages
+
 from crautomata import (
     Dfa,
     SUCCESS,
@@ -58,13 +60,6 @@ def report(num, description, fn):
         print(f"criterion {num:02d}: FAIL  {description}")
         raise
     print(f"criterion {num:02d}: PASS  {description}")
-
-
-def leafages(result, level):
-    return [
-        sorted(result.forest.leafage(nid))
-        for nid in result.levels[level - 1].vertices
-    ]
 
 
 def test_criterion_01():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from canonical_reference import least_pairs, shortlex_signatures
+from shared import decoded
 
 from crautomata import (
     Dfa,
@@ -25,11 +26,6 @@ def grown_to(dfa, cap):
     cws = CanonicalWordSet(dfa)
     cws.grow(cap)
     return cws
-
-
-def decoded(cws, k):
-    """The walk's defect-k triples with each code decoded to its word."""
-    return [(cws.word(c), em, dm) for c, em, dm in cws.signatures_of_defect(k)]
 
 
 def assert_holds_its_word(dfa, w, pair):

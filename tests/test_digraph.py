@@ -1,20 +1,13 @@
 import random
 
 import pytest
+from shared import graph
 
 from crautomata.digraph import (
     SimpleDigraph,
     is_strongly_connected,
     strongly_connected_components,
 )
-
-
-def graph(n, edges):
-    """The graph on n vertices with the given (s, t) edges, as its rows."""
-    rows = [0] * n
-    for s, t in edges:
-        rows[s] |= 1 << t
-    return SimpleDigraph(n, rows)
 
 
 def _reachable(n, adjacency, start):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from canonical_reference import shortlex_signatures
-from test_synchro_reference import cycle_idempotent
+from shared import block_family, cycle_idempotent, cycle_member, leafages
 
 from crautomata import (
     CanonicalWordSet,
@@ -31,20 +31,13 @@ from crautomata import gamma as gamma_module
 from crautomata.automaton import iter_bits, packed_images
 
 
-def leafages_at(result, level):
-    return [
-        sorted(result.forest.leafage(nid))
-        for nid in result.levels[level - 1].vertices
-    ]
-
-
 def test_e5_levels_exact():
     e5 = fixed_example("e5")
     result = build_gamma(e5)
     assert result.outcome == SUCCESS and result.terminal_step == 3
     lv1, lv2, lv3 = result.levels
     assert lv1.graph.edges == frozenset({(0, 1), (1, 0), (2, 0), (3, 4), (4, 3)})
-    assert leafages_at(result, 2) == [[0, 1], [2], [3, 4]]
+    assert leafages(result, 2) == [[0, 1], [2], [3, 4]]
     assert lv2.graph.edges == frozenset({(0, 1), (1, 0), (2, 0), (2, 1)})
     assert lv2.inherited == frozenset({(1, 0)})
     assert set(lv2.forcing) == {(0, 1), (2, 0), (2, 1)}
@@ -263,10 +256,15 @@ def test_gamma1_edgeless_failure():
             assert all(len(set(column)) <= n - 2 for column in zip(*dfa.delta))
 
 
-def test_single_state_automaton():
-    for alphabet, row in ((("a",), (0,)), (("a", "b"), (0, 0))):
-        d = Dfa(1, alphabet, (row,))
+def test_single_state_automaton(monkeypatch):
+    # No letter has defect 1, so no walk is built: the walk-free level 1 is
+    # one cluster.
+    runs = watch_the_walk(monkeypatch)
+    for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
+        d = Dfa(1, alphabet, ((0,) * len(alphabet),))
+        runs.append(None)
         ok, result = decide_complete_reachability(d)
+        assert runs[-1] is None, alphabet
         assert ok and result.outcome == SUCCESS
         assert result.terminal_step == 1
         (level,) = result.levels
@@ -459,20 +457,6 @@ def test_least_penetrating_level_forces_all_its_penetrating_edges():
                 # On SUCCESS every proper target has a penetrating edge.
                 assert not result.success
     assert checked > 3000
-
-
-def block_family(h):
-    """B_h: states 0..2h-1 in blocks A = {0..h-1} and B = {h..2h-1}.  c
-    rotates each block, t swaps 0 <-> 1 and h <-> h+1, s maps q to q + h
-    mod 2h, and a sends 0 to 1 and fixes every other state.  No word
-    extends B, though its permutations make many preimage tuples of B."""
-    n = 2 * h
-    swap = {0: 1, 1: 0, h: h + 1, h + 1: h}
-    delta = [
-        (q // h * h + (q + 1) % h, swap.get(q, q), (q + h) % n, 1 if q == 0 else q)
-        for q in range(n)
-    ]
-    return Dfa(n, ("c", "t", "s", "a"), delta)
 
 
 def settle_corpus():
@@ -712,11 +696,6 @@ def test_build_gamma_searches_once_per_edgeless_level(monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == 48
 
 
-def cycle_member(n, d):
-    """b is the n-cycle q -> q + 1 and a sends 0 to d, fixing every other state."""
-    return Dfa(n, ("a", "b"), tuple((d if q == 0 else q, (q + 1) % n) for q in range(n)))
-
-
 @pytest.mark.parametrize("n, d", [(30, 5), (48, 12), (96, 24), (192, 48)])
 def test_cycle_members_past_the_oracle_settle_at_step_n_over_g(n, d):
     # b is the n-cycle q -> q + 1 and a sends 0 to d: gcd(n, d) = g level-1
@@ -761,7 +740,9 @@ def test_stop_before_the_walk_is_sound(monkeypatch):
     # A completely reachable automaton reaches an (n-1)-set Q·w, so w has
     # defect 1, and some letter of w has defect 1: a word's defect is at
     # least each of its letters', and a word of permutations has defect 0.
-    # So every automaton stopped before the walk is not completely reachable.
+    # So every automaton of two or more states stopped before the walk is not
+    # completely reachable.  One state has no letter of defect 1 either, and
+    # its walk-free run is SUCCESS at step 1.
     stopped = []
     has_one = gamma_module._has_defect_one_letter
 
@@ -773,18 +754,18 @@ def test_stop_before_the_walk_is_sound(monkeypatch):
 
     monkeypatch.setattr(gamma_module, "_has_defect_one_letter", spy)
     corpus = small_corpus() + [dfa for dfa in settle_corpus() if dfa.n <= 8]
+    one_state = 0
     for dfa in corpus:
-        build_gamma(dfa)
-        if dfa.n > 1 and is_cr_bruteforce(dfa):
-            assert has_one(dfa), dfa
-    assert len(stopped) > 100
-    for dfa in stopped:
-        assert dfa.n >= 2 and not is_cr_bruteforce(dfa), dfa
-    # One state: no letter has defect 1, and the run stays SUCCESS at step 1.
-    for m in (1, 2, 3):
-        dfa = random_dfa(1, m, m)
         result = build_gamma(dfa)
-        assert result.outcome == SUCCESS and result.terminal_step == 1
+        if dfa.n == 1:
+            assert stopped[-1] is dfa
+            assert result.outcome == SUCCESS and result.terminal_step == 1, dfa
+            one_state += 1
+        elif is_cr_bruteforce(dfa):
+            assert has_one(dfa), dfa
+    assert len(stopped) > 100 and one_state > 3
+    for dfa in stopped:
+        assert dfa.n == 1 or not is_cr_bruteforce(dfa), dfa
 
 
 def test_the_decision_fills_no_image_table():

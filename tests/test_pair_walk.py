@@ -14,13 +14,12 @@ letters and on one letter, which stress the walk's packed letter rows.
 import random
 
 from canonical_reference import least_pairs, shortlex_signatures
-from test_synchro_reference import cycle_idempotent
+from shared import cycle_idempotent, decoded, graph
 
 from crautomata import (
     FAILURE,
     SUCCESS,
     Dfa,
-    SimpleDigraph,
     build_gamma,
     cerny,
     e_family,
@@ -72,11 +71,6 @@ def walk_inputs():
     return inputs
 
 
-def decoded(walk, k):
-    """The walk's defect-k triples with each code decoded to its word."""
-    return [(walk.word(c), em, dm) for c, em, dm in walk.signatures_of_defect(k)]
-
-
 def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
     multi = 0  # entries holding several duplicate states
     for dfa, cap in walk_inputs():
@@ -97,14 +91,6 @@ def test_pair_walk_keeps_exactly_the_least_word_of_every_pair():
                     assert dm == pair.dupl.mask, (dfa, w)
                 multi += dm & (dm - 1) != 0
     assert multi
-
-
-def graph(n, edges):
-    """The graph on n vertices with the given (s, t) edges, as its rows."""
-    rows = [0] * n
-    for s, t in edges:
-        rows[s] |= 1 << t
-    return SimpleDigraph(n, rows)
 
 
 def reference_levels(dfa):

@@ -13,6 +13,7 @@ import random
 from collections import deque
 
 import pytest
+from shared import cycle_idempotent
 
 from crautomata import (
     Dfa,
@@ -121,18 +122,6 @@ def assert_searches_agree(dfa):
     for mask in range(1 << (dfa.n + 1)):
         p = StateSet.from_mask(mask)
         assert outcome(compress_word, dfa, p) == outcome(ref_compress_word, dfa, p)
-
-
-def cycle_idempotent(n, d, rng):
-    """Random n-cycle b plus the idempotent a sending x to x + d along it."""
-    order = list(range(n))
-    rng.shuffle(order)
-    start = rng.randrange(n)
-    x, y = order[start], order[(start + d) % n]
-    succ = [0] * n
-    for i, q in enumerate(order):
-        succ[q] = order[(i + 1) % n]
-    return Dfa(n, ("a", "b"), tuple((y if q == x else q, succ[q]) for q in range(n)))
 
 
 def test_searches_match_reference_on_random_dfas():

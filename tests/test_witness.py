@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from test_synchro_reference import cycle_idempotent
+from shared import cycle_idempotent
 
 from crautomata import (
     Dfa,
